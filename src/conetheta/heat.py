@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ShapeMismatch, SignatureBroken
 from .linalg import check_symmetric, signature
-from .theta import Family, theta_term
+from .theta import Family, theta_terms
 
 DEFAULT_EPS = 1e-4
 
@@ -29,23 +29,27 @@ def _check_indices(n: int, i: int, j: int) -> tuple[int, int]:
 
 def heat_term_residual(K, omega, i: int, j: int, Z=None) -> float:
     """|d Theta_K/d omega_ij - (1/4 pi i) d^2 Theta_K/dZ_i dZ_j| at a
-    reference point, both sides computed analytically.
+    reference point, both sides computed analytically.  K is one vector or
+    a (points, n) stack; a stack returns its worst residual.
 
     The omega-derivative contributes pi i K_i K_j Theta_K and the Z-side
     (2 pi i K_i)(2 pi i K_j)/(4 pi i) Theta_K; the residual is relative to
     the larger side once that exceeds one, so the check stays at machine
-    precision where an indefinite form makes the term large.
+    precision where an indefinite form makes the term large.  A term that
+    overflows gives a nan residual, which fails every tolerance.
     """
     omega = check_symmetric(omega)
     n = omega.shape[0]
     ii, jj = _check_indices(n, i, j)
-    K = np.asarray(K, dtype=float)
+    K = np.atleast_2d(np.asarray(K, dtype=float))
     if Z is None:
         Z = np.full(n, 0.2 + 0.1j, dtype=complex)
-    term = theta_term(K, Z, omega)
-    lhs = (1j * math.pi * K[ii] * K[jj]) * term
-    rhs = (2j * math.pi * K[ii]) * (2j * math.pi * K[jj]) / (4j * math.pi) * term
-    return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
+    with np.errstate(over="ignore", invalid="ignore"):
+        term = theta_terms(K, Z, omega)
+        lhs = (1j * math.pi * K[:, ii] * K[:, jj]) * term
+        rhs = (2j * math.pi * K[:, ii]) * (2j * math.pi * K[:, jj]) / (4j * math.pi) * term
+        resid = np.abs(lhs - rhs) / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+    return float(np.max(resid))
 
 
 def _symmetric_step(n: int, ii: int, jj: int) -> np.ndarray:

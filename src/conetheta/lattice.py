@@ -311,40 +311,80 @@ def find_split_basis(Q, k: int, bound: int = 3) -> SplitBasis:
     raise NotFound("no split basis with entries bounded by %d" % bound)
 
 
-def enumerate_cone(cone: ConeSpec, Q) -> list[np.ndarray]:
-    """All points K = shift + sum c_i gen_i with tK Q K <= radius**2, sorted
-    by (tK Q K, lexicographic coordinates)."""
+def form_values(K: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """tK Q K for every row of a (points, n) array K (Q real or complex).
+
+    Elementwise operations in a fixed order, so each row's value is rounded
+    the same way whatever the other rows are: a point keeps its norm, and
+    its place in the enumeration order, when the radius grows.
+    """
+    KQ = K[:, :1] * Q[0]
+    for i in range(1, K.shape[1]):
+        KQ = KQ + K[:, i:i + 1] * Q[i]
+    out = KQ[:, 0] * K[:, 0]
+    for j in range(1, K.shape[1]):
+        out = out + KQ[:, j] * K[:, j]
+    return out
+
+
+#: relative widening of the enumeration budget, so that rounding in the
+#: Cholesky recursion never drops a point the final norm test keeps
+_BUDGET_SLACK = 1e-9
+
+
+def enumerate_cone(cone: ConeSpec, Q) -> np.ndarray:
+    """All points K = shift + sum c_i gen_i with tK Q K <= radius**2, as the
+    rows of a (points, n) array sorted by (tK Q K, lexicographic
+    coordinates).
+
+    Fincke-Pohst enumeration (Math. Comp. 44, 1985): with A = tG Q G = tR R
+    (Cholesky, R upper triangular) and c* the minimiser of the form on the
+    shifted span, tK Q K = q_min + sum_i (R (c - c*))_i**2.  Coefficients are
+    fixed from the last to the first; at each level every partial vector
+    gets the integer interval its remaining budget allows, all partial
+    vectors of a level in one batch.  The norm is then recomputed from K
+    (form_values) and compared with radius**2, so the kept set does not
+    depend on the recursion's rounding.
+    """
     Q = as_real_symmetric(Q)
     if Q.shape[0] != cone.n:
         raise ShapeMismatch("form and cone dimensions differ")
     s = cone.shift_float()
     m = cone.rank
     if m == 0:
-        return [s]
+        return s[None, :]
     G = cone.generators.astype(float)
     A = G.T @ Q @ G
-    eig = np.linalg.eigvalsh((A + A.T) / 2)
-    lam = float(np.min(eig))
-    if lam <= _POS_EIG_TOL * max(1.0, float(np.max(np.abs(eig)))):
+    A = (A + A.T) / 2
+    eig = np.linalg.eigvalsh(A)
+    if float(np.min(eig)) <= _POS_EIG_TOL * max(1.0, float(np.max(np.abs(eig)))):
         raise NonPositiveRestriction("form is not positive definite on the cone span")
     b = G.T @ Q @ s
     c_star = np.linalg.solve(A, -b)
     q_min = float(s @ Q @ s + b @ c_star)
     r2 = cone.radius**2
     if r2 < q_min - 1e-12:
-        return []
-    half = np.sqrt(max(r2 - q_min, 0.0) / lam) + 1e-9
-    los = [int(np.ceil(c_star[i] - half)) for i in range(m)]
-    his = [int(np.floor(c_star[i] + half)) for i in range(m)]
-    points = []
-    for coeffs in itertools.product(*[range(lo, hi + 1) for lo, hi in zip(los, his)]):
-        c = np.array(coeffs, dtype=float)
-        K = s + G @ c
-        norm = float(K @ Q @ K)
-        if norm <= r2:
-            points.append((norm, tuple(K), K))
-    points.sort(key=lambda t: (t[0], t[1]))
-    return [K for _, _, K in points]
+        return np.empty((0, cone.n))
+    R = np.linalg.cholesky(A).T
+    budget = max(r2 - q_min, 0.0) + _BUDGET_SLACK * max(1.0, r2)
+    coeffs = np.zeros((1, m))  # partial vectors; columns i+1.. are fixed
+    used = np.zeros(1)  # budget spent by the fixed coordinates
+    for i in range(m - 1, -1, -1):
+        offset = (coeffs[:, i + 1:] - c_star[i + 1:]) @ R[i, i + 1:]
+        center = c_star[i] - offset / R[i, i]
+        width = np.sqrt(np.maximum(budget - used, 0.0)) / R[i, i]
+        lo = np.ceil(center - width)
+        counts = np.maximum(np.floor(center + width) - lo + 1, 0).astype(np.int64)
+        parent = np.repeat(np.arange(len(counts)), counts)
+        step = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts, counts)
+        coeffs = coeffs[parent]
+        coeffs[:, i] = lo[parent] + step
+        used = used[parent] + (R[i, i] * (coeffs[:, i] - c_star[i]) + offset[parent]) ** 2
+    K = s + coeffs @ G.T
+    norm = form_values(K, Q)
+    keep = norm <= r2
+    K, norm = K[keep], norm[keep]
+    return K[np.lexsort(tuple(K[:, j] for j in range(cone.n - 1, -1, -1)) + (norm,))]
 
 
 def enumerate_wedge(

@@ -32,7 +32,7 @@ from .theta import (
     DEFAULT_TOL,
     Evaluator,
     Family,
-    kahan_sum,
+    complex_fsum,
     sample_points,
 )
 from .lattice import ConeSpec
@@ -147,7 +147,7 @@ def _panel_quadrature(f, lo: float, hi: float, panels: int, nodes: int = 16) -> 
         half = width / 2
         for xi, wi in zip(x, w):
             vals.append(wi * half * f(mid + half * xi))
-    return kahan_sum(vals)
+    return complex_fsum(vals)
 
 
 def contour_f(z: complex, tau: complex, kpole: int, nshift: int, tol: float = 1e-10) -> complex:

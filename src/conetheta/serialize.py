@@ -7,6 +7,7 @@ given instance always produces byte-identical output.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -116,6 +117,18 @@ def json_to_chain(d, rank: int) -> KoszulChain:
         raise ValidationError("malformed chain payload") from exc
 
 
+def check_tolerance(name: str, value) -> float:
+    """A tolerance as a float; anything but a finite number > 0 is a
+    ValidationError."""
+    try:
+        tol = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError("tolerance %s is not a number: %r" % (name, value)) from exc
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValidationError("tolerance %s must be finite and > 0, got %r" % (name, value))
+    return tol
+
+
 def theta_value_to_json(tv: ThetaValue, radius_used: float | None = None) -> dict:
     out = {"value": complex_to_json(tv.value), "tail": float(tv.tail)}
     if radius_used is not None:
@@ -190,7 +203,10 @@ def parse_instance(payload: dict) -> ProblemInstance:
             raise ValidationError("malformed cone payload") from exc
         inst.cone = ConeSpec(gens, shift, float(rec.get("radius", 0.0)))
     if "tolerances" in payload and payload["tolerances"] is not None:
-        inst.tolerances = {str(k2): float(v) for k2, v in payload["tolerances"].items()}
+        rec = payload["tolerances"]
+        if not isinstance(rec, dict):
+            raise ValidationError("tolerances must be a record of names to numbers")
+        inst.tolerances = {str(k2): check_tolerance(str(k2), v) for k2, v in rec.items()}
     if "seed" in payload:
         inst.seed = int(payload["seed"])
     return inst

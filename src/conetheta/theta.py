@@ -5,8 +5,9 @@ Sums run over shifted positive cones with a rigorous Gaussian tail bound;
 evaluators are immutable objects closed symbolically under the lattice
 action (prefactor and argument shift stored exactly, only the final sum is
 approximate).  Identical inputs always produce bit-identical outputs:
-summation is compensated and runs in a canonical order (term norm, then
-lexicographic coordinates).
+all terms of a sum are evaluated in one vectorised pass and their real and
+imaginary parts are added with math.fsum, which is correctly rounded and so
+does not depend on the order of the terms.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .errors import (
     RadiusOverflow,
     ShapeMismatch,
 )
-from .lattice import ConeSpec, SplitBasis, enumerate_cone, enumerate_wedge
+from .lattice import ConeSpec, SplitBasis, enumerate_cone, enumerate_wedge, form_values
 from .linalg import check_symmetric
 from .rng import DEFAULT_SEED, SplitMix64
 
@@ -38,19 +39,22 @@ DEFAULT_TOL_COCYCLE = 1e-8
 _MAX_RADIUS = 64.0
 
 
-def kahan_sum(values) -> complex:
-    """Compensated (Kahan) summation of complex values in the given order."""
-    sr = si = cr = ci = 0.0
-    for v in values:
-        yr = v.real - cr
-        tr = sr + yr
-        cr = (tr - sr) - yr
-        sr = tr
-        yi = v.imag - ci
-        ti = si + yi
-        ci = (ti - si) - yi
-        si = ti
-    return complex(sr, si)
+def complex_fsum(values) -> complex:
+    """Correctly rounded sum of complex values (math.fsum on the real and
+    imaginary parts); the result does not depend on the order."""
+    values = np.asarray(values, dtype=complex)
+    return complex(math.fsum(values.real), math.fsum(values.imag))
+
+
+def theta_terms(K, Z, omega) -> np.ndarray:
+    """theta_term for every row of a (points, n) array K, in one pass."""
+    K = np.asarray(K, dtype=float)
+    Z = np.asarray(Z, dtype=complex)
+    omega = np.asarray(omega, dtype=complex)
+    if K.ndim != 2 or Z.shape != (K.shape[1],) or omega.shape != (K.shape[1],) * 2:
+        raise ShapeMismatch("incompatible shapes for theta terms")
+    phase = form_values(K, omega) + 2.0 * (K @ Z)
+    return np.exp(1j * math.pi * phase)
 
 
 def theta_term(K, Z, omega) -> complex:
@@ -230,8 +234,7 @@ class ConeSum(Family):
                     "radius %g exceeded without reaching tol %g" % (self.max_radius, self.tol)
                 )
         pts = enumerate_cone(self.cone.with_radius(radius), omega.imag)
-        value = kahan_sum(theta_term(K, Z, omega) for K in pts)
-        return value, bound, radius
+        return complex_fsum(theta_terms(pts, Z, omega)), bound, radius
 
     def value_tail(self, omega, Z):
         v, t, _ = self.evaluate(omega, Z)
@@ -257,7 +260,9 @@ class WedgeSum(Family):
 
         def partial(R: int) -> complex:
             pts = enumerate_wedge(self.basis, self.index, Q, R)
-            return kahan_sum(sign * theta_term(K.astype(float), Z, omega) for K, sign in pts)
+            K = np.array([K for K, _ in pts], dtype=float).reshape(-1, self.basis.n)
+            signs = np.array([sign for _, sign in pts], dtype=float)
+            return complex_fsum(signs * theta_terms(K, Z, omega))
 
         R = self.start
         prev = partial(R)

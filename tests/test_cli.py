@@ -162,6 +162,30 @@ def test_verify_exit_codes(tmp_path):
     assert main(["verify", "--instance", inst, "--suite", "wedge"]) == 2
 
 
+def test_verify_heat_on_rank_zero_cone(tmp_path, capsys):
+    # k = n: the cone sum is the constant 1, both fd residuals are exactly 0
+    inst = write(tmp_path, "i.json", {"n": 1, "k": 1, "omega": cm([[0.3 - 1.2j]])})
+    assert main(["verify", "--instance", inst, "--suite", "heat"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["pass"] and all(c["pass"] for c in report["checks"])
+
+
+def test_eval_negative_instance_tolerance(tmp_path):
+    payload = {"n": 1, "k": 0, "omega": cm([[1j]]), "tolerances": {"sum": -1}}
+    inst = write(tmp_path, "i.json", payload)
+    assert main(["eval", "--instance", inst]) == 2
+
+
+def test_eval_negative_tol_flag(tmp_path):
+    inst = write(tmp_path, "i.json", {"n": 1, "k": 0, "omega": cm([[1j]])})
+    assert main(["eval", "--instance", inst, "--tol", "-1"]) == 2
+
+
+def test_eval_non_finite_z(tmp_path):
+    inst = write(tmp_path, "i.json", {"n": 2, "k": 0, "omega": cm(np.diag([1j, 1j]))})
+    assert main(["eval", "--instance", inst, "--z", "0,0;0.1,nan"]) == 2
+
+
 def test_verify_reports_byte_identical(tmp_path, capsys):
     inst = write(
         tmp_path,

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -39,6 +40,19 @@ def test_termwise_grid():
                 for j in range(i, n + 1):
                     worst = max(worst, heat_term_residual(np.array(K, dtype=float), om, i, j))
         assert worst < 1e-14, (n, worst)
+
+
+def test_termwise_stack_is_worst_row():
+    om = np.array([[1j, 0.1, 0.0], [0.1, 2j, 0.2], [0.0, 0.2, -1j]])
+    grid = np.array(list(itertools.product(range(-3, 4), repeat=3)), dtype=float)
+    for i, j in [(1, 1), (1, 3), (2, 3)]:
+        rows = [heat_term_residual(K, om, i, j) for K in grid]
+        assert heat_term_residual(grid, om, i, j) == max(rows)
+
+
+def test_termwise_overflow_fails_every_tolerance():
+    # the term exp(60 pi * 25) overflows: the residual is nan, never < tol
+    assert math.isnan(heat_term_residual(np.array([[1.0], [5.0]]), np.array([[-60j]]), 1, 1))
 
 
 def test_fd_classical():

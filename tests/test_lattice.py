@@ -1,7 +1,10 @@
+import itertools
 from collections import defaultdict
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conetheta.errors import NotFound, NotSymplectic, SignatureMismatch
 from conetheta.intmat import int_det
@@ -12,6 +15,7 @@ from conetheta.lattice import (
     enumerate_cone,
     enumerate_wedge,
     find_split_basis,
+    form_values,
     is_gamma12,
     is_split_basis,
     is_symplectic,
@@ -131,6 +135,57 @@ def test_enumerate_cone_prefix_property():
     assert len(small) < len(large)
     for a, b in zip(small, large):
         assert np.array_equal(a, b)
+
+
+def _box_filter_cone(cone, Q):
+    """Reference enumeration: scan the coefficient box around the minimiser
+    that bounds the ellipsoid, keep tK Q K <= radius**2 and sort by (norm,
+    coordinates).  Points are scored with form_values, whose value for a row
+    does not depend on the other rows."""
+    s = cone.shift_float()
+    G = cone.generators.astype(float)
+    A = G.T @ Q @ G
+    lam = float(np.min(np.linalg.eigvalsh(A)))
+    b = G.T @ Q @ s
+    c_star = np.linalg.solve(A, -b)
+    q_min = float(s @ Q @ s + b @ c_star)
+    r2 = cone.radius**2
+    if r2 < q_min - 1e-12:
+        return []
+    half = np.sqrt(max(r2 - q_min, 0.0) / lam) + 1e-9
+    ranges = [range(int(np.ceil(c - half)), int(np.floor(c + half)) + 1) for c in c_star]
+    box = np.array(list(itertools.product(*ranges)), dtype=float).reshape(-1, cone.rank)
+    K = s + box @ G.T
+    norms = form_values(K, Q)
+    return [k for _, k in sorted((float(q), tuple(k)) for q, k in zip(norms, K) if q <= r2)]
+
+
+@st.composite
+def _random_cones(draw):
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, n))
+    U = np.eye(n, dtype=np.int64)
+    moves = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-2, 2))
+    for i, j, c in draw(st.lists(moves, max_size=6)):
+        if i != j:
+            U[:, i] += c * U[:, j]
+    perm = draw(st.permutations(range(n)))
+    gens = U[:, list(perm)[:m]]  # columns of a unimodular matrix: a primitive sublattice
+    entries = st.floats(-1.5, 1.5, allow_nan=False, allow_infinity=False)
+    B = np.array(draw(st.lists(entries, min_size=n * n, max_size=n * n))).reshape(n, n)
+    Q = B.T @ B + draw(st.floats(0.5, 2.0)) * np.eye(n)
+    fractions = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 6))
+    shift = draw(st.lists(fractions, min_size=n, max_size=n))
+    radius = draw(st.floats(0.5, 4.0))
+    return ConeSpec(gens, tuple(shift), radius), Q
+
+
+@settings(max_examples=100, deadline=None)
+@given(_random_cones())
+def test_enumerate_cone_matches_box_filter(case):
+    cone, Q = case
+    got = [tuple(k) for k in enumerate_cone(cone, Q)]
+    assert got == _box_filter_cone(cone, Q)
 
 
 def _wedge_multiset_oracle(R):
