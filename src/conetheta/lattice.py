@@ -12,7 +12,6 @@ tied by tN @ M = I.
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -388,32 +387,28 @@ def enumerate_cone(cone: ConeSpec, Q) -> np.ndarray:
 
 
 def enumerate_wedge(
-    basis: SplitBasis, g_type_ic_index: int, Q, radius, transformed_gens=None
+    basis: SplitBasis, g_type_ic_index: int, Q, radius
 ) -> list[tuple[np.ndarray, int]]:
     """Signed lattice points realising the difference of the two families of
     shifted positive cones attached to the unipotent basis change
     N_{idx+1} -> N_{idx+1} - N_idx.
 
-    Points are truncated to coefficient sup-norm <= radius in the basis
-    (N_idx, ..., N_n) and returned as (K, sign) sorted by a positive
-    definite majorant of Q (eigenvalue absolute values of the restricted
-    Gram matrix), ties broken lexicographically.  Passing
-    ``transformed_gens`` overrides the default transformed cone; with the
-    original generators the families coincide and the list is empty.
+    Write a point as K = t N_idx + sum_i c_i N_{idx+1+i} and truncate to the
+    window |t|, |c_i| <= R = floor(radius).  The sheared family covers
+    t >= -c_0 and the plain family t >= 0, so inside the window the net sign
+    is [t >= -c_0] - [t >= 0]: +1 for c_0 >= 1, -c_0 <= t <= -1 and -1 for
+    c_0 <= -1, 0 <= t <= -c_0 - 1.  The region is generated in that closed
+    form and returned as (K, sign) pairs in no particular order.
     """
     Q = as_real_symmetric(Q)
     idx = g_type_ic_index
     n = basis.n
     if not (1 <= idx <= n - 1):
         raise ShapeMismatch("unipotent index out of range")
-    Ncols = basis.N
-    shift_dir = Ncols[:, idx - 1]
-    plain = Ncols[:, idx:]
-    if transformed_gens is None:
-        transformed = plain.copy()
-        transformed[:, 0] = transformed[:, 0] - shift_dir
-    else:
-        transformed = as_int_matrix(transformed_gens)
+    shift_dir = basis.N[:, idx - 1]
+    plain = basis.N[:, idx:]
+    transformed = plain.copy()
+    transformed[:, 0] -= shift_dir
     for label, gens in (("original", plain), ("transformed", transformed)):
         Gf = gens.astype(float)
         if not _is_positive_definite(Gf.T @ Q @ Gf):
@@ -423,38 +418,15 @@ def enumerate_wedge(
     if R < 0:
         return []
     m = plain.shape[1]
-    counts: dict[tuple[int, ...], int] = defaultdict(int)
-    coeff_ranges = [range(-R, R + 1)] * m
-    for r in range(0, 2 * R + 1):
-        base = r * shift_dir
-        for coeffs in itertools.product(*coeff_ranges):
-            cvec = np.array(coeffs, dtype=np.int64)
-            counts[tuple(int(x) for x in base + transformed @ cvec)] += 1
-            counts[tuple(int(x) for x in base + plain @ cvec)] -= 1
-
-    # restrict to the window where the shell counts are complete
-    span = np.column_stack([shift_dir, plain])
-    span_inv = np.linalg.pinv(span.astype(float))
-    gram = span.astype(float).T @ Q @ span.astype(float)
-    vals, vecs = np.linalg.eigh((gram + gram.T) / 2)
-    majorant = vecs @ np.diag(np.abs(vals)) @ vecs.T
-
-    out = []
-    for coords, cnt in counts.items():
-        if cnt == 0:
-            continue
-        K = np.array(coords, dtype=np.int64)
-        c = span_inv @ K
-        c_int = np.rint(c)
-        if np.max(np.abs(c - c_int)) > 1e-9 or np.max(np.abs(c_int)) > R:
-            continue
-        norm = float(c_int @ majorant @ c_int)
-        sign = 1 if cnt > 0 else -1
-        if abs(cnt) != 1:
-            raise NotSplitAfterTransform("unexpected multiplicity in wedge shells")
-        out.append((norm, tuple(int(x) for x in K), K, sign))
-    out.sort(key=lambda t: (t[0], t[1]))
-    return [(K, sign) for _, _, K, sign in out]
+    c = np.indices((2 * R + 1,) * m).reshape(m, -1).T - R  # the coefficient window
+    counts = np.abs(c[:, 0])  # |c_0| values of t per coefficient vector
+    parent = np.repeat(np.arange(len(c)), counts)
+    step = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts, counts)
+    c = c[parent]
+    positive = c[:, 0] > 0
+    t = np.where(positive, -c[:, 0], 0) + step
+    K = np.outer(t, shift_dir) + c @ plain.T
+    return list(zip(K, np.where(positive, 1, -1).tolist()))
 
 
 def transform_basis(g: ModularElement, basis: SplitBasis) -> tuple[np.ndarray, np.ndarray]:

@@ -26,11 +26,11 @@ def complex_to_json(z: complex) -> dict:
 
 
 def json_to_complex(d) -> complex:
-    if isinstance(d, (int, float)):
-        return complex(float(d), 0.0)
     try:
+        if isinstance(d, (int, float)):
+            return complex(float(d), 0.0)
         return complex(float(d["re"]), float(d["im"]))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValidationError("expected {re, im} record") from exc
 
 
@@ -56,7 +56,7 @@ def int_matrix_to_json(M) -> list:
 def json_to_int_matrix(rows) -> np.ndarray:
     try:
         M = np.array(rows, dtype=np.int64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError("malformed integer matrix payload") from exc
     if M.ndim != 2:
         raise ValidationError("integer matrix payload is not 2-dimensional")
@@ -122,7 +122,7 @@ def check_tolerance(name: str, value) -> float:
     ValidationError."""
     try:
         tol = float(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError("tolerance %s is not a number: %r" % (name, value)) from exc
     if not (math.isfinite(tol) and tol > 0):
         raise ValidationError("tolerance %s must be finite and > 0, got %r" % (name, value))
@@ -163,7 +163,7 @@ def parse_instance(payload: dict) -> ProblemInstance:
         n = int(payload["n"])
         k = int(payload["k"])
         omega = json_to_matrix(payload["omega"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError("instance requires n, k and omega") from exc
     if omega.shape != (n, n):
         raise ValidationError("omega shape does not match n")
@@ -199,7 +199,7 @@ def parse_instance(payload: dict) -> ProblemInstance:
         try:
             gens = np.array(rec["generators"], dtype=np.int64).T  # rows in JSON
             shift = tuple(Fraction(x) for x in rec.get("shift", [0] * n))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError("malformed cone payload") from exc
         inst.cone = ConeSpec(gens, shift, float(rec.get("radius", 0.0)))
     if "tolerances" in payload and payload["tolerances"] is not None:
@@ -208,7 +208,10 @@ def parse_instance(payload: dict) -> ProblemInstance:
             raise ValidationError("tolerances must be a record of names to numbers")
         inst.tolerances = {str(k2): check_tolerance(str(k2), v) for k2, v in rec.items()}
     if "seed" in payload:
-        inst.seed = int(payload["seed"])
+        try:
+            inst.seed = int(payload["seed"])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError("seed is not an integer: %r" % payload["seed"]) from exc
     return inst
 
 

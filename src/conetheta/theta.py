@@ -38,6 +38,10 @@ DEFAULT_TOL_COCYCLE = 1e-8
 
 _MAX_RADIUS = 64.0
 
+#: first wedge cutoff, and the cutoff past which doubling gives up
+_WEDGE_START = 6
+_WEDGE_MAX_CUT = 96
+
 
 def complex_fsum(values) -> complex:
     """Correctly rounded sum of complex values (math.fsum on the real and
@@ -225,14 +229,14 @@ class ConeSum(Family):
             return theta_term(self.cone.shift_float(), Z, omega), 0.0, 0.0
         radius = 4.0
         while True:
-            bound = tail_bound(self.cone, omega, Z, radius)
-            if bound <= self.tol:
-                break
-            radius += 2.0
             if radius > self.max_radius:
                 raise RadiusOverflow(
                     "radius %g exceeded without reaching tol %g" % (self.max_radius, self.tol)
                 )
+            bound = tail_bound(self.cone, omega, Z, radius)
+            if bound <= self.tol:
+                break
+            radius += 2.0
         pts = enumerate_cone(self.cone.with_radius(radius), omega.imag)
         return complex_fsum(theta_terms(pts, Z, omega)), bound, radius
 
@@ -244,14 +248,13 @@ class ConeSum(Family):
 @dataclass(frozen=True)
 class WedgeSum(Family):
     """Signed sum over the wedge between a positive cone and its image under
-    the unit shear at ``index``; the truncation is certified by comparing
-    consecutive doubled cutoffs."""
+    the unit shear at ``index``; the truncation is judged by comparing
+    consecutive doubled cutoffs, and the reported tail is their difference
+    (an estimate, not a bound)."""
 
     basis: SplitBasis
     index: int
     tol: float = DEFAULT_TOL
-    start: int = 6
-    max_cut: int = 96
 
     def value_tail(self, omega, Z):
         omega = check_symmetric(omega)
@@ -264,7 +267,7 @@ class WedgeSum(Family):
             signs = np.array([sign for _, sign in pts], dtype=float)
             return complex_fsum(signs * theta_terms(K, Z, omega))
 
-        R = self.start
+        R = _WEDGE_START
         prev = partial(R)
         while True:
             R *= 2
@@ -272,8 +275,8 @@ class WedgeSum(Family):
             change = abs(cur - prev)
             if change < self.tol:
                 return cur, change
-            if R > self.max_cut:
-                raise RadiusOverflow("wedge cutoff %d exceeded" % self.max_cut)
+            if R > _WEDGE_MAX_CUT:
+                raise RadiusOverflow("wedge cutoff %d exceeded" % _WEDGE_MAX_CUT)
             prev = cur
 
 

@@ -56,6 +56,59 @@ def test_eval_radius_overflow(tmp_path):
     assert main(["eval", "--instance", inst, "--tol", "1e-30", "--radius-max", "4"]) == 3
 
 
+@pytest.mark.parametrize("radius_max", ["-1", "0", "nan", "inf"])
+def test_eval_rejects_bad_radius_max(tmp_path, radius_max):
+    inst = write(tmp_path, "i.json", {"n": 1, "k": 0, "omega": cm([[1j]])})
+    assert main(["eval", "--instance", inst, "--radius-max", radius_max]) == 2
+
+
+def test_eval_radius_max_below_first_radius(tmp_path, capsys):
+    # the schedule starts at radius 4, so a maximum of 3 admits no radius
+    inst = write(tmp_path, "i.json", {"n": 1, "k": 0, "omega": cm([[1j]])})
+    assert main(["eval", "--instance", inst, "--radius-max", "3"]) == 3
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("field", ["g", "basis", "cone"])
+def test_instance_integer_beyond_int64(tmp_path, field):
+    payload = {
+        "n": 2,
+        "k": 1,
+        "omega": cm(np.diag([-1j, 2j])),
+        "g": {"A": [[1, 0], [0, 1]], "B": [[0, 0], [0, 0]], "C": [[0, 0], [0, 0]], "D": [[1, 0], [0, 1]]},
+        "basis": {"n": 2, "k": 1, "N": [[1, 0], [0, 1]], "M": [[1, 0], [0, 1]]},
+        "cone": {"generators": [[0, 1]]},
+    }
+    big = 2**63
+    if field == "g":
+        payload["g"]["A"][0][0] = big
+    elif field == "basis":
+        payload["basis"]["N"][0][0] = big
+    else:
+        payload["cone"]["generators"][0][1] = big
+    inst = write(tmp_path, "i.json", payload)
+    assert main(["eval", "--instance", inst]) == 2
+
+
+_OMEGA1 = cm([[1j]])
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"n": 1, "k": 0, "omega": [[{"re": 0, "im": 10**400}]]},
+        {"n": 1, "k": 0, "omega": [[10**400]]},
+        {"n": 1, "k": 0, "omega": _OMEGA1, "tolerances": {"sum": 10**400}},
+        {"n": math.inf, "k": 0, "omega": _OMEGA1},
+        {"n": math.nan, "k": 0, "omega": _OMEGA1},
+        {"n": 1, "k": 0, "omega": _OMEGA1, "seed": math.inf},
+        {"n": 1, "k": 0, "omega": _OMEGA1, "seed": "x"},
+    ],
+)
+def test_instance_number_out_of_range(tmp_path, payload):
+    assert main(["eval", "--instance", write(tmp_path, "i.json", payload)]) == 2
+
+
 def test_eval_characteristic(tmp_path, capsys):
     payload = {
         "n": 1,

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conetheta.errors import NotFound, NotSymplectic, SignatureMismatch
-from conetheta.intmat import int_det
+from conetheta.intmat import int_det, unimodular_inverse
 from conetheta.lattice import (
     ConeSpec,
     ModularElement,
@@ -188,26 +188,60 @@ def test_enumerate_cone_matches_box_filter(case):
     assert got == _box_filter_cone(cone, Q)
 
 
-def _wedge_multiset_oracle(R):
-    """Brute-force shell cancellation for the reference slice (two unit
-    directions, shear at index 1)."""
+def _wedge_multiset_oracle(basis, idx, R):
+    """Brute-force shell cancellation: every shell r = 0..2R along N_idx
+    counts the sheared cone family +1 and the plain family -1 at each point;
+    the nonzero counts whose coefficients in (N_idx, N_idx+1, ...) lie in
+    the window |.| <= R are kept."""
+    shift_dir = basis.N[:, idx - 1]
+    plain = basis.N[:, idx:]
+    sheared = plain.copy()
+    sheared[:, 0] -= shift_dir
     cnt = defaultdict(int)
     for r in range(0, 2 * R + 1):
-        for s in range(-R, R + 1):
-            cnt[(r - s, s)] += 1  # sheared family
-            cnt[(r, s)] -= 1  # plain family
+        for c in itertools.product(range(-R, R + 1), repeat=plain.shape[1]):
+            cnt[tuple(int(x) for x in r * shift_dir + sheared @ c)] += 1
+            cnt[tuple(int(x) for x in r * shift_dir + plain @ c)] -= 1
+    coords = lambda p: basis.M.T @ np.array(p)  # tM N = I
     return {
         p: c
         for p, c in cnt.items()
-        if c != 0 and max(abs(p[0]), abs(p[1])) <= R
+        if c != 0 and np.max(np.abs(coords(p)[idx - 1:])) <= R
     }
+
+
+def _wedge_map(pts):
+    got = {tuple(int(x) for x in K): s for K, s in pts}
+    assert len(got) == len(pts)
+    return got
 
 
 def test_enumerate_wedge_matches_double_sum_oracle():
     basis = SplitBasis.identity(2, 1)
     Q = np.diag([-1.0, 2.0])
-    got = {tuple(int(x) for x in K): s for K, s in enumerate_wedge(basis, 1, Q, 7)}
-    assert got == _wedge_multiset_oracle(7)
+    got = _wedge_map(enumerate_wedge(basis, 1, Q, 7))
+    assert got == _wedge_multiset_oracle(basis, 1, 7)
+
+
+@st.composite
+def _unimodular_bases(draw):
+    n = draw(st.integers(2, 4))
+    N = np.eye(n, dtype=np.int64)
+    moves = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-2, 2))
+    for i, j, c in draw(st.lists(moves, max_size=8)):
+        if i != j:
+            N[:, i] += c * N[:, j]
+    N = N[:, list(draw(st.permutations(range(n))))]
+    return SplitBasis(N, unimodular_inverse(N).T, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_unimodular_bases(), st.integers(0, 5))
+def test_enumerate_wedge_matches_oracle_on_random_bases(basis, R):
+    Q = np.eye(basis.n)  # positive on every cone; the region does not depend on Q
+    for idx in range(1, basis.n):
+        got = _wedge_map(enumerate_wedge(basis, idx, Q, R))
+        assert got == _wedge_multiset_oracle(basis, idx, R)
 
 
 def test_enumerate_wedge_signs():
@@ -225,12 +259,6 @@ def test_enumerate_wedge_signs():
 def test_enumerate_wedge_radius_zero():
     basis = SplitBasis.identity(2, 1)
     assert enumerate_wedge(basis, 1, np.diag([-1.0, 2.0]), 0) == []
-
-
-def test_enumerate_wedge_equal_cones_empty():
-    basis = SplitBasis.identity(2, 1)
-    same = basis.N[:, 1:]
-    assert enumerate_wedge(basis, 1, np.diag([-1.0, 2.0]), 6, transformed_gens=same) == []
 
 
 def test_transform_basis_identity():

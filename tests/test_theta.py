@@ -232,13 +232,6 @@ def _wedge_oracle(Z, R=16):
     return complex_fsum(vals)
 
 
-def test_wedge_equal_cones_zero():
-    from conetheta.lattice import enumerate_wedge
-
-    pts = enumerate_wedge(WBASIS, 1, WOM.imag, 10, transformed_gens=WBASIS.N[:, 1:])
-    assert pts == []
-
-
 def test_wedge_function_matches_oracle():
     f = wedge_function(WBASIS, WOM, tol=1e-12)
     for Z in sample_points(2, 5):
