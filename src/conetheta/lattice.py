@@ -25,10 +25,10 @@ from .errors import (
     NotSymplectic,
     ShapeMismatch,
     SignatureMismatch,
+    ValidationError,
 )
 from .intmat import (
     as_int_matrix,
-    int_det,
     is_primitive_columns,
     unimodular_completion,
     unimodular_inverse,
@@ -43,6 +43,12 @@ def _is_positive_definite(A: np.ndarray) -> bool:
         return True
     eig = np.linalg.eigvalsh((A + A.T) / 2)
     return bool(np.min(eig) > _POS_EIG_TOL * max(1.0, float(np.max(np.abs(eig)))))
+
+
+def _is_positive_on(Q: np.ndarray, B: np.ndarray) -> bool:
+    """True iff the form Q is positive definite on the columns of B."""
+    Bf = B.astype(float)
+    return _is_positive_definite(Bf.T @ Q @ Bf)
 
 
 @dataclass(frozen=True)
@@ -212,45 +218,47 @@ class ConeSpec:
 
 
 def is_split_basis(basis: SplitBasis, Q, k: int) -> bool:
-    """True iff Q is positive definite on the last n-k N-columns and Q^{-1}
-    on the last n-k M-columns."""
+    """True iff Q is negative definite on the first k N-columns and positive
+    definite on the last n-k.
+
+    For Q of signature (k, n-k) this is the same as Q positive definite on
+    the last n-k N-columns and Q^{-1} on the last n-k M-columns: Q^{-1} on
+    the annihilator of U = span(N_1..N_k) is Q on the Q-orthogonal
+    complement of U, which is positive definite iff Q is negative definite
+    on U.
+    """
     Q = as_real_symmetric(Q)
     n = basis.n
     if signature(Q) != (k, n - k):
         raise SignatureMismatch("signature(Q) != (%d, %d)" % (k, n - k))
-    Npos = basis.N[:, k:].astype(float)
-    Mpos = basis.M[:, k:].astype(float)
-    Qinv = np.linalg.inv(Q)
-    return _is_positive_definite(Npos.T @ Q @ Npos) and _is_positive_definite(
-        Mpos.T @ Qinv @ Mpos
-    )
+    return _is_positive_on(-Q, basis.N[:, :k]) and _is_positive_on(Q, basis.N[:, k:])
 
 
-def _short_vectors(n: int, bound: int) -> list[np.ndarray]:
-    """Nonzero integer vectors with sup-norm <= bound, first nonzero entry
-    positive, sorted by (euclidean norm, lexicographic)."""
-    vecs = []
-    ranges = [range(-bound, bound + 1)] * n
-    for coords in itertools.product(*ranges):
-        if all(c == 0 for c in coords):
-            continue
-        first = next(c for c in coords if c != 0)
-        if first < 0:
-            continue
-        vecs.append(np.array(coords, dtype=np.int64))
-    vecs.sort(key=lambda v: (float(v @ v), tuple(int(x) for x in v)))
-    return vecs
+def _short_vectors(n: int, bound: int) -> np.ndarray:
+    """Nonzero integer vectors with sup-norm <= bound and first nonzero entry
+    positive, as the rows of an array sorted by (euclidean norm,
+    lexicographic coordinates)."""
+    v = np.indices((2 * bound + 1,) * n).reshape(n, -1).T - bound
+    v = v[v[np.arange(len(v)), np.argmax(v != 0, axis=1)] > 0]
+    return v[np.lexsort(tuple(v[:, j] for j in range(n - 1, -1, -1)) + ((v * v).sum(axis=1),))]
+
+
+#: largest candidate window (2*bound+1)**n that find_split_basis builds in
+#: memory: the default bound 3 fits up to n = 7
+MAX_SPLIT_WINDOW = 10**6
 
 
 def find_split_basis(Q, k: int, bound: int = 3) -> SplitBasis:
     """Search for a split basis with N-entries bounded by ``bound``.
 
-    Strategy: enumerate candidate positive columns from short vectors
-    (ordered by norm), complete them to a unimodular matrix, then perturb the
-    completion by integer multiples of the positive columns until the dual
-    positivity condition holds.  Failure raises NotFound; the search being
-    exhaustive up to the bound, this is evidence but not proof of
-    nonexistence.
+    A split basis has Q negative definite on N_1..N_k and positive definite
+    on N_{k+1}..N_n (see is_split_basis); M = tN^{-1} is derived from N.
+    Strategy: take n-k candidate positive columns V from short vectors
+    (ordered by norm), complete them to a unimodular matrix (C | V), then
+    add integer multiples of V to C until Q is negative definite on C.
+    Failure raises NotFound; the search being exhaustive up to the bound,
+    this is evidence but not proof of nonexistence.  A bound whose window
+    has more than MAX_SPLIT_WINDOW vectors is a ValidationError.
     """
     Q = as_real_symmetric(Q)
     n = Q.shape[0]
@@ -261,52 +269,27 @@ def find_split_basis(Q, k: int, bound: int = 3) -> SplitBasis:
     reference = SplitBasis.identity(n, k)
     if is_split_basis(reference, Q, k):
         return reference
-    Qinv = np.linalg.inv(Q)
+    if (2 * bound + 1) ** n > MAX_SPLIT_WINDOW:
+        raise ValidationError(
+            "bound %d: the search window (2*bound+1)**%d exceeds %d vectors"
+            % (bound, n, MAX_SPLIT_WINDOW)
+        )
     m = n - k
     shorts = _short_vectors(n, bound)
-    positives = [v for v in shorts if (m == 0) or float(v @ Q @ v) > 0]
-
-    def dual_condition(Nfull: np.ndarray) -> bool:
-        M = unimodular_inverse(Nfull).T
-        Mpos = M[:, k:].astype(float)
-        return _is_positive_definite(Mpos.T @ Qinv @ Mpos)
-
-    if m == 0:
-        # no positivity constraint on N; only the dual form must be positive,
-        # which for k = n means Q^{-1} restricted to nothing: identity works
-        eye = np.eye(n, dtype=np.int64)
-        return SplitBasis(eye, eye.copy(), k)
-
-    candidates = itertools.combinations(range(len(positives)), m)
-    tried = 0
-    for idxs in candidates:
-        tried += 1
-        if tried > 200000:
-            break
-        V = np.column_stack([positives[i] for i in idxs])
-        if np.linalg.matrix_rank(V) != m:
-            continue
-        if not _is_positive_definite(V.astype(float).T @ Q @ V.astype(float)):
+    positives = shorts[form_values(shorts, Q) > 0]
+    for idxs in itertools.islice(itertools.combinations(range(len(positives)), m), 200000):
+        V = positives[list(idxs)].T
+        if np.linalg.matrix_rank(V) != m or not _is_positive_on(Q, V):
             continue
         if not is_primitive_columns(V):
             continue
         Cbase = unimodular_completion(V)
-        # adjust the completion by V @ X, preserving unimodularity
-        adjust = itertools.product(*([range(-bound, bound + 1)] * (k * m)))
-        for flat in adjust:
-            X = np.array(flat, dtype=np.int64).reshape(m, k)
-            Ccols = Cbase + V @ X
-            if Ccols.size and np.max(np.abs(Ccols)) > bound:
-                continue
-            if np.max(np.abs(V)) > bound:
-                continue
-            Nfull = np.column_stack([Ccols, V])
-            if abs(int_det(Nfull)) != 1:
-                continue
-            if dual_condition(Nfull):
-                basis = SplitBasis(Nfull, unimodular_inverse(Nfull).T, k)
-                if is_split_basis(basis, Q, k):
-                    return basis
+        # C + V @ X is a column operation on (C | V), so |det| stays 1
+        for flat in itertools.product(range(-bound, bound + 1), repeat=k * m):
+            C = Cbase + V @ np.array(flat, dtype=np.int64).reshape(m, k)
+            if np.abs(C).max(initial=0) <= bound and _is_positive_on(-Q, C):
+                N = np.column_stack([C, V])
+                return SplitBasis(N, unimodular_inverse(N).T, k)
     raise NotFound("no split basis with entries bounded by %d" % bound)
 
 
@@ -410,8 +393,7 @@ def enumerate_wedge(
     transformed = plain.copy()
     transformed[:, 0] -= shift_dir
     for label, gens in (("original", plain), ("transformed", transformed)):
-        Gf = gens.astype(float)
-        if not _is_positive_definite(Gf.T @ Q @ Gf):
+        if not _is_positive_on(Q, gens):
             raise NotSplitAfterTransform("%s cone is not positive for the form" % label)
 
     R = int(np.floor(radius))

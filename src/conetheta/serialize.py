@@ -201,6 +201,11 @@ def parse_instance(payload: dict) -> ProblemInstance:
             shift = tuple(Fraction(x) for x in rec.get("shift", [0] * n))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError("malformed cone payload") from exc
+        try:
+            for x in shift:
+                float(x)  # the sums use the shift as floats
+        except OverflowError as exc:
+            raise ValidationError("cone shift is beyond the float range") from exc
         inst.cone = ConeSpec(gens, shift, float(rec.get("radius", 0.0)))
     if "tolerances" in payload and payload["tolerances"] is not None:
         rec = payload["tolerances"]

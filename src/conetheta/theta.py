@@ -183,9 +183,6 @@ def tail_bound(cone: ConeSpec, omega, Z, radius: float) -> float:
             total += term  # geometric remainder, ratio <= 1/2
             break
         prev_term = term
-        if j > 0 and term / max(total, 1e-300) < 1e-17 and term < prev_term:
-            total += 2 * term
-            break
     return total
 
 

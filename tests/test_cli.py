@@ -109,6 +109,16 @@ def test_instance_number_out_of_range(tmp_path, payload):
     assert main(["eval", "--instance", write(tmp_path, "i.json", payload)]) == 2
 
 
+@pytest.mark.parametrize(
+    "shift",
+    ["1e400", "-1e400", 10**400, "1" + "0" * 400 + "/3"],
+    ids=["decimal", "negative", "integer", "fraction"],
+)
+def test_eval_cone_shift_beyond_float_range(tmp_path, shift):
+    payload = {"n": 1, "k": 0, "omega": _OMEGA1, "cone": {"generators": [[1]], "shift": [shift]}}
+    assert main(["eval", "--instance", write(tmp_path, "i.json", payload), "--z", "0,0"]) == 2
+
+
 def test_eval_characteristic(tmp_path, capsys):
     payload = {
         "n": 1,
@@ -190,6 +200,21 @@ def test_split_basis_not_found(tmp_path):
     payload = {"n": 2, "k": 1, "omega": cm(np.diag([1j, -1j]))}
     inst = write(tmp_path, "i.json", payload)
     assert main(["split-basis", "--instance", inst, "--bound", "0"]) == 4
+
+
+def test_split_basis_bound_window_too_large(tmp_path):
+    # (2*1000+1)**4 candidate vectors would not fit in memory
+    payload = {"n": 4, "k": 1, "omega": cm(np.diag([1j, -1j, 1j, 1j]))}
+    inst = write(tmp_path, "i.json", payload)
+    assert main(["split-basis", "--instance", inst, "--bound", "1000"]) == 2
+
+
+@pytest.mark.parametrize("bound,code", [(499, 0), (500, 2)])
+def test_split_basis_bound_window_limit(tmp_path, bound, code):
+    # the window (2*bound+1)**2 is 999**2 <= 10**6 and 1001**2 > 10**6
+    payload = {"n": 2, "k": 1, "omega": cm(np.diag([1j, -1j]))}
+    inst = write(tmp_path, "i.json", payload)
+    assert main(["split-basis", "--instance", inst, "--bound", str(bound)]) == code
 
 
 def test_eval_explicit_cone(tmp_path, capsys):

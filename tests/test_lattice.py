@@ -101,6 +101,102 @@ def test_find_split_basis_empty_bound():
         find_split_basis(np.diag([1.0, -1.0]), 1, bound=0)
 
 
+def test_find_split_basis_negative_definite_identity():
+    # k = n: Q is negative definite on every column, so the reference splits
+    basis = find_split_basis(-np.eye(3), 3)
+    assert basis.N.tolist() == np.eye(3, dtype=int).tolist()
+    assert basis.M.tolist() == np.eye(3, dtype=int).tolist()
+
+
+def _planted_form(seed, n, k):
+    """Q = tW^{-1} diag(-1.., 1..) W^{-1} for a signed permutation W after
+    one elementary column move (drawn until the reference basis does not
+    split Q), so W is a split basis within bound 3."""
+    rng = np.random.default_rng(seed)
+    D = np.diag([-1.0] * k + [1.0] * (n - k))
+    while True:
+        W = np.eye(n, dtype=np.int64)
+        i, j = rng.choice(n, 2, replace=False)
+        W[:, j] += int(rng.choice((-1, 1))) * W[:, i]
+        W = np.eye(n, dtype=np.int64)[rng.permutation(n)] * rng.choice((-1, 1), n) @ W
+        Winv = np.rint(np.linalg.inv(W))
+        Q = Winv.T @ D @ Winv
+        neg, pos = np.linalg.eigvalsh(Q[:k, :k]), np.linalg.eigvalsh(Q[k:, k:])
+        if not (np.all(neg < 0) and np.all(pos > 0)):
+            return Q
+
+
+#: (seed, n, k, N) returned by the search that tested Q^{-1} on the
+#: M-columns of every candidate; the direct criterion must find the same N
+_PINNED_SPLIT_BASES = [
+    (1, 2, 1, [[-1, 1], [0, 1]]),
+    (2, 2, 1, [[1, 0], [1, 1]]),
+    (3, 3, 1, [[-1, 0, 1], [0, 0, -1], [0, 1, 0]]),
+    (4, 3, 1, [[0, 0, 1], [0, 1, 0], [1, 0, 0]]),
+    (5, 3, 2, [[-1, 0, 1], [1, 0, 0], [0, 1, 0]]),
+    (6, 3, 2, [[0, 0, 1], [1, 0, 0], [0, 1, 0]]),
+    (7, 4, 1, [[-1, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]),
+    (8, 4, 1, [[0, 0, 0, 1], [0, 0, 1, 0], [1, 0, 0, 0], [0, 1, 0, 0]]),
+    (9, 4, 2, [[0, 0, 0, 1], [0, -1, 0, -1], [1, 0, 0, 0], [0, 0, 1, 0]]),
+    (10, 4, 2, [[0, 0, 0, 1], [0, 0, 1, 0], [1, 0, 0, 0], [0, 1, 0, 0]]),
+    (11, 4, 3, [[0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, -1]]),
+    (12, 4, 3, [[0, 0, 0, 1], [1, 0, 0, -1], [0, 1, 0, 0], [0, 0, 1, 0]]),
+]
+
+
+@pytest.mark.parametrize("seed,n,k,N", _PINNED_SPLIT_BASES)
+def test_find_split_basis_pinned(seed, n, k, N):
+    basis = find_split_basis(_planted_form(seed, n, k), k)
+    assert basis.N.tolist() == N
+    assert np.array_equal(basis.M, unimodular_inverse(np.array(N)).T)
+    assert basis.k == k
+
+
+def _dual_split_reference(basis, Q, k):
+    """Split test through the dual form: Q positive definite on the last
+    n-k N-columns and Q^{-1} on the last n-k M-columns."""
+
+    def posdef(B, F):
+        A = B.astype(float).T @ F @ B.astype(float)
+        if A.shape[0] == 0:
+            return True
+        eig = np.linalg.eigvalsh((A + A.T) / 2)
+        return bool(eig.min() > 1e-10 * max(1.0, float(np.abs(eig).max())))
+
+    return posdef(basis.N[:, k:], Q) and posdef(basis.M[:, k:], np.linalg.inv(Q))
+
+
+def _unimodular(draw, n, max_moves, coef):
+    """Up to max_moves column moves U_i += c U_j with |c| <= coef, then a
+    column permutation."""
+    U = np.eye(n, dtype=np.int64)
+    moves = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-coef, coef))
+    for i, j, c in draw(st.lists(moves, max_size=max_moves)):
+        if i != j:
+            U[:, i] += c * U[:, j]
+    return U[:, list(draw(st.permutations(range(n))))]
+
+
+@st.composite
+def _split_cases(draw):
+    """A random unimodular N, an index k and an integer form tP D P of
+    signature (k, n-k), with P unimodular and D = diag(-d.., d..)."""
+    n = draw(st.integers(2, 4))
+    k = draw(st.integers(0, n))
+    N = _unimodular(draw, n, 6, 1)
+    P = _unimodular(draw, n, 4, 1)
+    d = np.array(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)), dtype=float)
+    Q = P.T @ np.diag(np.where(np.arange(n) < k, -d, d)) @ P
+    return SplitBasis(N, unimodular_inverse(N).T, k), Q, k
+
+
+@settings(max_examples=300, deadline=None)
+@given(_split_cases())
+def test_is_split_basis_matches_dual_reference(case):
+    basis, Q, k = case
+    assert is_split_basis(basis, Q, k) == _dual_split_reference(basis, Q, k)
+
+
 def test_split_basis_unimodular_invariant():
     for Q, k in [(np.diag([1.0, -1.0]), 1), (np.diag([-1.0, 2.0]), 1), (np.eye(2), 0)]:
         b = find_split_basis(Q, k)
@@ -225,13 +321,7 @@ def test_enumerate_wedge_matches_double_sum_oracle():
 
 @st.composite
 def _unimodular_bases(draw):
-    n = draw(st.integers(2, 4))
-    N = np.eye(n, dtype=np.int64)
-    moves = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-2, 2))
-    for i, j, c in draw(st.lists(moves, max_size=8)):
-        if i != j:
-            N[:, i] += c * N[:, j]
-    N = N[:, list(draw(st.permutations(range(n))))]
+    N = _unimodular(draw, draw(st.integers(2, 4)), 8, 2)
     return SplitBasis(N, unimodular_inverse(N).T, 1)
 
 
