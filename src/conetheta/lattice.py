@@ -11,7 +11,9 @@ tied by tN @ M = I.
 
 from __future__ import annotations
 
+import copy
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -49,6 +51,21 @@ def _is_positive_on(Q: np.ndarray, B: np.ndarray) -> bool:
     """True iff the form Q is positive definite on the columns of B."""
     Bf = B.astype(float)
     return _is_positive_definite(Bf.T @ Q @ Bf)
+
+
+_INT64 = np.iinfo(np.int64)
+
+
+def _exact(M: np.ndarray) -> np.ndarray:
+    """The integer matrix M over Python ints, so that products cannot wrap."""
+    return M.astype(object)
+
+
+def _to_int64(M: np.ndarray) -> np.ndarray:
+    """An exact integer matrix as int64; ValidationError if an entry does not fit."""
+    if any(not (_INT64.min <= x <= _INT64.max) for x in M.flat):
+        raise ValidationError("integer matrix entry beyond the int64 range")
+    return M.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -138,7 +155,7 @@ class ModularElement:
         return cls(eye, zero, zero.copy(), eye.copy())
 
     def __matmul__(self, other: "ModularElement") -> "ModularElement":
-        return ModularElement.from_matrix(self.matrix() @ other.matrix())
+        return ModularElement.from_matrix(_to_int64(_exact(self.matrix()) @ _exact(other.matrix())))
 
     def inverse(self) -> "ModularElement":
         # symplectic inverse: (tD, -tB; -tC, tA)
@@ -150,7 +167,7 @@ class ModularElement:
 
 def is_symplectic(g: ModularElement) -> bool:
     """Exact check of the three block relations defining Sp(2n, Z)."""
-    A, B, C, D = g.A, g.B, g.C, g.D
+    A, B, C, D = (_exact(X) for X in (g.A, g.B, g.C, g.D))
     eye = np.eye(g.n, dtype=np.int64)
     return (
         np.array_equal(A.T @ C, C.T @ A)
@@ -163,15 +180,16 @@ def is_gamma12(g: ModularElement) -> bool:
     """Theta-subgroup membership: diag(tA C) and diag(tB D) both even."""
     if not is_symplectic(g):
         raise NotSymplectic("element is not symplectic")
-    d1 = np.diag(g.A.T @ g.C)
-    d2 = np.diag(g.B.T @ g.D)
+    d1 = np.diag(_exact(g.A).T @ _exact(g.C))
+    d2 = np.diag(_exact(g.B).T @ _exact(g.D))
     return bool(np.all(d1 % 2 == 0) and np.all(d2 % 2 == 0))
 
 
 @dataclass(frozen=True)
 class ConeSpec:
-    """Shifted sublattice cone: points shift + sum_i c_i * gen_i with the
-    quadratic form bounded by radius**2."""
+    """Shifted sublattice cone: points shift + sum_i c_i * gen_i.  The
+    sums pick their own truncation radius and pass it to enumerate_cone;
+    ``radius`` is not read by them."""
 
     generators: np.ndarray  # n x m integer, primitive independent columns
     shift: tuple  # rational n-vector (Fractions)
@@ -205,12 +223,15 @@ class ConeSpec:
     def shift_float(self) -> np.ndarray:
         return np.array([float(s) for s in self.shift])
 
-    def with_radius(self, radius: float) -> "ConeSpec":
-        return ConeSpec(self.generators, self.shift, radius)
-
     def with_extra_shift(self, extra) -> "ConeSpec":
-        new = tuple(a + Fraction(b) for a, b in zip(self.shift, extra))
-        return ConeSpec(self.generators, new, self.radius)
+        """The same cone shifted by ``extra``; the generators are not checked
+        again."""
+        extra = tuple(extra)
+        if len(extra) != self.n:
+            raise ShapeMismatch("shift length does not match ambient dimension")
+        new = copy.copy(self)
+        object.__setattr__(new, "shift", tuple(a + Fraction(b) for a, b in zip(self.shift, extra)))
+        return new
 
     @classmethod
     def full_lattice(cls, n: int, radius: float = 0.0) -> "ConeSpec":
@@ -309,46 +330,72 @@ def form_values(K: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return out
 
 
+class ConeForm:
+    """A cone together with the form Q restricted to it, factored once.
+
+    Holds the float generators G and shift s, the coefficient Gram matrix
+    A = tG Q G with its smallest eigenvalue ``lam`` (one eigvalsh, which
+    also checks that Q is positive definite on the cone span) and its upper
+    triangular Cholesky factor R (A = tR R), the minimiser ``c_star`` of the
+    form on s + span(G), its minimum ``q_min`` and t_s = sqrt(ts Q s).
+    enumerate_cone and theta.tail_bound read these at any radius.  A cone of
+    rank 0 has no factor.  Raises NonPositiveRestriction when Q is not
+    positive definite on the span, and ValidationError when q_min or t_s is
+    not finite (a shift too large for the form).
+    """
+
+    def __init__(self, cone: ConeSpec, Q):
+        Q = as_real_symmetric(Q)
+        if Q.shape[0] != cone.n:
+            raise ShapeMismatch("form and cone dimensions differ")
+        self.Q = Q
+        self.rank = m = cone.rank
+        self.shift = s = cone.shift_float()
+        self.G = G = cone.generators.astype(float)
+        sQs = float(s @ Q @ s)
+        self.q_min = sQs
+        if m:
+            A = G.T @ Q @ G
+            A = (A + A.T) / 2
+            eig = np.linalg.eigvalsh(A)
+            if float(eig[0]) <= _POS_EIG_TOL * max(1.0, float(np.max(np.abs(eig)))):
+                raise NonPositiveRestriction("form is not positive definite on the cone span")
+            self.lam = float(eig[0])
+            self.R = np.linalg.cholesky(A).T
+            b = G.T @ Q @ s
+            self.c_star = np.linalg.solve(A, -b)
+            self.q_min = float(sQs + b @ self.c_star)
+        self.t_s = math.sqrt(max(sQs, 0.0)) if np.any(s) else 0.0
+        if not (math.isfinite(self.q_min) and math.isfinite(self.t_s)):
+            raise ValidationError("cone shift too large: its norm under the form is not finite")
+
+
 #: relative widening of the enumeration budget, so that rounding in the
 #: Cholesky recursion never drops a point the final norm test keeps
 _BUDGET_SLACK = 1e-9
 
 
-def enumerate_cone(cone: ConeSpec, Q) -> np.ndarray:
-    """All points K = shift + sum c_i gen_i with tK Q K <= radius**2, as the
-    rows of a (points, n) array sorted by (tK Q K, lexicographic
-    coordinates).
+def enumerate_cone(form: ConeForm, radius: float) -> np.ndarray:
+    """All points K = shift + sum c_i gen_i of the factored cone with
+    tK Q K <= radius**2, as the rows of a (points, n) array sorted by
+    (tK Q K, lexicographic coordinates).  A cone of rank 0 gives its shift.
 
-    Fincke-Pohst enumeration (Math. Comp. 44, 1985): with A = tG Q G = tR R
-    (Cholesky, R upper triangular) and c* the minimiser of the form on the
-    shifted span, tK Q K = q_min + sum_i (R (c - c*))_i**2.  Coefficients are
-    fixed from the last to the first; at each level every partial vector
-    gets the integer interval its remaining budget allows, all partial
-    vectors of a level in one batch.  The norm is then recomputed from K
-    (form_values) and compared with radius**2, so the kept set does not
-    depend on the recursion's rounding.
+    Fincke-Pohst enumeration (Math. Comp. 44, 1985): with A = tR R and c*
+    from the form, tK Q K = q_min + sum_i (R (c - c*))_i**2.  Coefficients
+    are fixed from the last to the first; at each level every partial
+    vector gets the integer interval its remaining budget allows, all
+    partial vectors of a level in one batch.  The norm is then recomputed
+    from K (form_values) and compared with radius**2, so the kept set does
+    not depend on the recursion's rounding.
     """
-    Q = as_real_symmetric(Q)
-    if Q.shape[0] != cone.n:
-        raise ShapeMismatch("form and cone dimensions differ")
-    s = cone.shift_float()
-    m = cone.rank
+    s, m, n = form.shift, form.rank, len(form.shift)
     if m == 0:
         return s[None, :]
-    G = cone.generators.astype(float)
-    A = G.T @ Q @ G
-    A = (A + A.T) / 2
-    eig = np.linalg.eigvalsh(A)
-    if float(np.min(eig)) <= _POS_EIG_TOL * max(1.0, float(np.max(np.abs(eig)))):
-        raise NonPositiveRestriction("form is not positive definite on the cone span")
-    b = G.T @ Q @ s
-    c_star = np.linalg.solve(A, -b)
-    q_min = float(s @ Q @ s + b @ c_star)
-    r2 = cone.radius**2
-    if r2 < q_min - 1e-12:
-        return np.empty((0, cone.n))
-    R = np.linalg.cholesky(A).T
-    budget = max(r2 - q_min, 0.0) + _BUDGET_SLACK * max(1.0, r2)
+    r2 = radius**2
+    if r2 < form.q_min - 1e-12:
+        return np.empty((0, n))
+    R, c_star = form.R, form.c_star
+    budget = max(r2 - form.q_min, 0.0) + _BUDGET_SLACK * max(1.0, r2)
     coeffs = np.zeros((1, m))  # partial vectors; columns i+1.. are fixed
     used = np.zeros(1)  # budget spent by the fixed coordinates
     for i in range(m - 1, -1, -1):
@@ -362,11 +409,11 @@ def enumerate_cone(cone: ConeSpec, Q) -> np.ndarray:
         coeffs = coeffs[parent]
         coeffs[:, i] = lo[parent] + step
         used = used[parent] + (R[i, i] * (coeffs[:, i] - c_star[i]) + offset[parent]) ** 2
-    K = s + coeffs @ G.T
-    norm = form_values(K, Q)
+    K = s + coeffs @ form.G.T
+    norm = form_values(K, form.Q)
     keep = norm <= r2
     K, norm = K[keep], norm[keep]
-    return K[np.lexsort(tuple(K[:, j] for j in range(cone.n - 1, -1, -1)) + (norm,))]
+    return K[np.lexsort(tuple(K[:, j] for j in range(n - 1, -1, -1)) + (norm,))]
 
 
 def enumerate_wedge(

@@ -158,6 +158,11 @@ class ProblemInstance:
         return default
 
 
+#: cone shift entries must be below this in magnitude: beyond it a double
+#: no longer holds every integer, so s + G c is not exact
+_MAX_EXACT_SHIFT = 2**53
+
+
 def parse_instance(payload: dict) -> ProblemInstance:
     try:
         n = int(payload["n"])
@@ -201,11 +206,8 @@ def parse_instance(payload: dict) -> ProblemInstance:
             shift = tuple(Fraction(x) for x in rec.get("shift", [0] * n))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError("malformed cone payload") from exc
-        try:
-            for x in shift:
-                float(x)  # the sums use the shift as floats
-        except OverflowError as exc:
-            raise ValidationError("cone shift is beyond the float range") from exc
+        if any(abs(x) >= _MAX_EXACT_SHIFT for x in shift):
+            raise ValidationError("cone shift entries must be below 2**53 in magnitude")
         inst.cone = ConeSpec(gens, shift, float(rec.get("radius", 0.0)))
     if "tolerances" in payload and payload["tolerances"] is not None:
         rec = payload["tolerances"]

@@ -20,13 +20,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    BadCharacteristic,
-    NonPositiveRestriction,
-    RadiusOverflow,
-    ShapeMismatch,
+from .errors import BadCharacteristic, RadiusOverflow, ShapeMismatch
+from .lattice import (
+    ConeForm,
+    ConeSpec,
+    SplitBasis,
+    enumerate_cone,
+    enumerate_wedge,
+    form_values,
 )
-from .lattice import ConeSpec, SplitBasis, enumerate_cone, enumerate_wedge, form_values
 from .linalg import check_symmetric
 from .rng import DEFAULT_SEED, SplitMix64
 
@@ -128,9 +130,22 @@ def reduced_characteristics(delta) -> list[Characteristic]:
 # ---------------------------------------------------------------------------
 # tail bound
 
-def tail_bound(cone: ConeSpec, omega, Z, radius: float) -> float:
-    """Upper bound for the sum of |Theta_K| over the cone points excluded by
-    the radius, i.e. those with tK Q K > radius**2 (Q = Im omega).
+def _drift(form: ConeForm, Z) -> tuple[float, float]:
+    """(alpha, beta) with |tK y| <= alpha + beta sqrt(tK Q K) on the cone,
+    y = Im Z (see tail_bound)."""
+    y = np.asarray(Z, dtype=complex).imag
+    beta = float(np.linalg.norm(form.G.T @ y)) / math.sqrt(form.lam)
+    return abs(float(form.shift @ y)) + form.t_s * beta, beta
+
+
+def _shell_count(form: ConeForm, t: float) -> int:
+    """Bound on the number of cone points with sqrt(tK Q K) < t + 1."""
+    return (2 * math.floor((t + 1.0 + form.t_s) / math.sqrt(form.lam)) + 3) ** form.rank
+
+
+def tail_bound(form: ConeForm, Z, radius: float) -> float:
+    """Upper bound for the sum of |Theta_K| over the points of the factored
+    cone excluded by the radius, i.e. those with tK Q K > radius**2.
 
     Construction (all steps are inequalities, so the result is a true
     bound): write K = s + G c and t = sqrt(tK Q K).  With lam the smallest
@@ -145,35 +160,22 @@ def tail_bound(cone: ConeSpec, omega, Z, radius: float) -> float:
     The tail is summed over unit shells [radius + j, radius + j + 1) with
     the shell count evaluated at the outer edge; the series is cut once a
     term ratio certifies geometric decay.  Requires radius >= beta + 1 (the
-    shell maximum must be decreasing); smaller radii return +inf, which
-    simply forces the adaptive loop to grow the radius.
+    shell maximum must be decreasing); smaller radii return +inf.
     """
-    omega = check_symmetric(omega)
-    Q = omega.imag
-    m = cone.rank
-    if m == 0:
+    if form.rank == 0:
         return 0.0
-    G = cone.generators.astype(float)
-    A = G.T @ Q @ G
-    eig = np.linalg.eigvalsh((A + A.T) / 2)
-    lam = float(np.min(eig))
-    if lam <= 1e-12 * max(1.0, float(np.max(np.abs(eig)))):
-        raise NonPositiveRestriction("form is not positive definite on the cone span")
-    s = cone.shift_float()
-    y = np.asarray(Z, dtype=complex).imag
-    sqrt_lam = math.sqrt(lam)
-    t_s = math.sqrt(max(float(s @ Q @ s), 0.0)) if np.any(s) else 0.0
-    beta = float(np.linalg.norm(G.T @ y)) / sqrt_lam
-    alpha = abs(float(s @ y)) + t_s * beta
+    alpha, beta = _drift(form, Z)
     if radius < beta + 1.0:
         return math.inf
     total = 0.0
     prev_term = None
     for j in range(0, 100000):
         t = radius + j
-        count = (2 * math.floor((t + 1.0 + t_s) / sqrt_lam) + 3) ** m
         log_term = (
-            math.log(count) + 2.0 * math.pi * alpha - math.pi * t * t + 2.0 * math.pi * beta * t
+            math.log(_shell_count(form, t))
+            + 2.0 * math.pi * alpha
+            - math.pi * t * t
+            + 2.0 * math.pi * beta * t
         )
         term = math.exp(log_term) if log_term < 700 else math.inf
         total += term
@@ -184,6 +186,38 @@ def tail_bound(cone: ConeSpec, omega, Z, radius: float) -> float:
             break
         prev_term = term
     return total
+
+
+#: cone-sum radii are multiples of this step
+_RADIUS_STEP = 0.125
+
+
+def _on_grid(x: float) -> float:
+    """The smallest radius on the grid that is >= x."""
+    return math.ceil(x / _RADIUS_STEP) * _RADIUS_STEP
+
+
+def _first_shell_radius(form: ConeForm, Z, tol: float, max_radius: float) -> float:
+    """The smallest radius r >= beta + 1 on the grid whose first shell term
+    of tail_bound, count(r) exp(2 pi alpha - pi r^2 + 2 pi beta r), is at
+    most tol; a value above max_radius once none up to it qualifies.
+
+    For a fixed count the condition is a quadratic in r, with root
+    beta + sqrt(beta^2 + (log count + 2 pi alpha - log tol) / pi).  The count
+    grows with r, so the root is recomputed at the rounded-up root until it
+    no longer moves; each step stays at or below the smallest qualifying
+    radius.  The full bound is at least its first shell, so no radius on the
+    grid below the result makes tail_bound <= tol.
+    """
+    alpha, beta = _drift(form, Z)
+    r = _on_grid(beta + 1.0)
+    while r <= max_radius:
+        excess = math.log(_shell_count(form, r)) + 2.0 * math.pi * alpha - math.log(tol)
+        nxt = _on_grid(beta + math.sqrt(max(beta * beta + excess / math.pi, 0.0)))
+        if nxt <= r:
+            break
+        r = nxt
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +246,16 @@ class Evaluator:
 
 @dataclass(frozen=True)
 class ConeSum(Family):
-    """Sum of theta terms over a shifted cone, truncated adaptively until the
-    tail bound clears the tolerance."""
+    """Sum of theta terms over a shifted cone, truncated at the smallest
+    radius on a 1/8 grid whose certified tail bound clears the tolerance.
+
+    evaluate factors the cone once (lattice.ConeForm), solves for the first
+    radius whose first Gaussian shell alone is below tol
+    (_first_shell_radius), checks it with the full tail_bound and steps up
+    by 1/8 until the bound holds; typically the first check holds.  No
+    radius above max_radius is used (RadiusOverflow).  Returns (value,
+    tail bound, radius).
+    """
 
     cone: ConeSpec
     tol: float = DEFAULT_TOL
@@ -224,17 +266,18 @@ class ConeSum(Family):
         Z = np.asarray(Z, dtype=complex)
         if self.cone.rank == 0:
             return theta_term(self.cone.shift_float(), Z, omega), 0.0, 0.0
-        radius = 4.0
+        form = ConeForm(self.cone, omega.imag)
+        radius = _first_shell_radius(form, Z, self.tol, self.max_radius)
         while True:
             if radius > self.max_radius:
                 raise RadiusOverflow(
                     "radius %g exceeded without reaching tol %g" % (self.max_radius, self.tol)
                 )
-            bound = tail_bound(self.cone, omega, Z, radius)
+            bound = tail_bound(form, Z, radius)
             if bound <= self.tol:
                 break
-            radius += 2.0
-        pts = enumerate_cone(self.cone.with_radius(radius), omega.imag)
+            radius += _RADIUS_STEP
+        pts = enumerate_cone(form, radius)
         return complex_fsum(theta_terms(pts, Z, omega)), bound, radius
 
     def value_tail(self, omega, Z):

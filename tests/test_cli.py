@@ -34,7 +34,7 @@ def test_eval_classical(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert abs(out["value"]["re"] - 1.086434811213308) < 1e-9
     assert out["tail"] <= 1e-10
-    assert out["radius_used"] >= 4.0
+    assert out["radius_used"] < 4.0
 
 
 def test_eval_point_cone(tmp_path, capsys):
@@ -62,10 +62,18 @@ def test_eval_rejects_bad_radius_max(tmp_path, radius_max):
     assert main(["eval", "--instance", inst, "--radius-max", radius_max]) == 2
 
 
-def test_eval_radius_max_below_first_radius(tmp_path, capsys):
-    # the schedule starts at radius 4, so a maximum of 3 admits no radius
+def test_eval_radius_max_at_solved_radius(tmp_path, capsys):
+    # the solved radius is below 3 here (2.875)
     inst = write(tmp_path, "i.json", {"n": 1, "k": 0, "omega": cm([[1j]])})
-    assert main(["eval", "--instance", inst, "--radius-max", "3"]) == 3
+    assert main(["eval", "--instance", inst, "--radius-max", "3"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["tail"] <= 1e-10 and out["radius_used"] <= 3.0
+
+
+def test_eval_radius_max_below_first_radius(tmp_path, capsys):
+    # no radius up to 1 certifies tol 1e-10
+    inst = write(tmp_path, "i.json", {"n": 1, "k": 0, "omega": cm([[1j]])})
+    assert main(["eval", "--instance", inst, "--radius-max", "1"]) == 3
     assert capsys.readouterr().out == ""
 
 
@@ -117,6 +125,15 @@ def test_instance_number_out_of_range(tmp_path, payload):
 def test_eval_cone_shift_beyond_float_range(tmp_path, shift):
     payload = {"n": 1, "k": 0, "omega": _OMEGA1, "cone": {"generators": [[1]], "shift": [shift]}}
     assert main(["eval", "--instance", write(tmp_path, "i.json", payload), "--z", "0,0"]) == 2
+
+
+@pytest.mark.parametrize("shift", ["1e16", "12345678901234567", "1e17", "1e200"])
+def test_eval_cone_shift_beyond_exact_float(tmp_path, capsys, shift):
+    # from 2**53 on a double no longer holds every integer, so s + G c is
+    # not exact
+    payload = {"n": 1, "k": 0, "omega": _OMEGA1, "cone": {"generators": [[1]], "shift": [shift]}}
+    assert main(["eval", "--instance", write(tmp_path, "i.json", payload), "--z", "0,0"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_eval_characteristic(tmp_path, capsys):

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conetheta.errors import NotFound, NotSymplectic, SignatureMismatch
+from conetheta.errors import NotFound, NotSymplectic, SignatureMismatch, ValidationError
 from conetheta.intmat import int_det, unimodular_inverse
 from conetheta.lattice import (
+    ConeForm,
     ConeSpec,
     ModularElement,
     SplitBasis,
@@ -39,6 +40,22 @@ def test_is_symplectic_inversion():
 
 def test_is_symplectic_all_ones_fails():
     assert not is_symplectic(_g([[1]], [[1]], [[1]], [[1]]))
+
+
+def test_modular_product_beyond_int64_raises():
+    eye = np.eye(2, dtype=np.int64)
+    zero = np.zeros((2, 2), dtype=np.int64)
+    g = ModularElement(eye, 2**62 * eye, zero, eye)
+    assert is_symplectic(g)
+    with pytest.raises(ValidationError):
+        g @ g  # B = 2**63 I does not fit int64
+
+
+def test_is_symplectic_exact_beyond_int64():
+    # tC B = 2**64 I, which int64 arithmetic wraps to 0, so that
+    # tA D - tC B would read I
+    eye = np.eye(2, dtype=np.int64)
+    assert not is_symplectic(ModularElement(eye, 2**32 * eye, 2**32 * eye, eye))
 
 
 def test_is_gamma12_identity():
@@ -206,28 +223,36 @@ def test_split_basis_unimodular_invariant():
 
 
 def test_enumerate_cone_interval():
-    pts = enumerate_cone(ConeSpec(np.array([[1]]), (0,), 2.0), np.array([[1.0]]))
+    pts = enumerate_cone(ConeForm(ConeSpec(np.array([[1]]), (0,), 2.0), np.array([[1.0]])), 2.0)
     assert [int(p[0]) for p in pts] == [0, -1, 1, -2, 2]
 
 
 def test_enumerate_cone_rank_zero():
-    pts = enumerate_cone(ConeSpec(np.zeros((2, 0), dtype=np.int64), (0, 0), 1.0), np.eye(2))
+    pts = enumerate_cone(ConeForm(ConeSpec(np.zeros((2, 0), dtype=np.int64), (0, 0), 1.0), np.eye(2)), 1.0)
     assert len(pts) == 1 and np.allclose(pts[0], 0.0)
 
 
 def test_enumerate_cone_sublattice():
     pts = enumerate_cone(
-        ConeSpec(np.array([[0], [1]]), (0, 0), 3.0), np.diag([-1.0, 2.0])
+        ConeForm(ConeSpec(np.array([[0], [1]]), (0, 0), 3.0), np.diag([-1.0, 2.0])), 3.0
     )
     coords = [tuple(int(x) for x in p) for p in pts]
     assert coords == [(0, 0), (0, -1), (0, 1), (0, -2), (0, 2)]
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_cone_form_rejects_shift_with_infinite_norm():
+    cone = ConeSpec(np.array([[1]]), (10**200,), 0.0)
+    with pytest.raises(ValidationError):
+        ConeForm(cone, np.array([[1.0]]))
+
+
 def test_enumerate_cone_prefix_property():
     cone = ConeSpec(np.eye(2, dtype=np.int64), (0, 0), 0.0)
     Q = np.array([[2.0, 0.5], [0.5, 1.0]])
-    small = enumerate_cone(cone.with_radius(2.5), Q)
-    large = enumerate_cone(cone.with_radius(4.0), Q)
+    form = ConeForm(cone, Q)
+    small = enumerate_cone(form, 2.5)
+    large = enumerate_cone(form, 4.0)
     assert len(small) < len(large)
     for a, b in zip(small, large):
         assert np.array_equal(a, b)
@@ -280,7 +305,7 @@ def _random_cones(draw):
 @given(_random_cones())
 def test_enumerate_cone_matches_box_filter(case):
     cone, Q = case
-    got = [tuple(k) for k in enumerate_cone(cone, Q)]
+    got = [tuple(k) for k in enumerate_cone(ConeForm(cone, Q), cone.radius)]
     assert got == _box_filter_cone(cone, Q)
 
 

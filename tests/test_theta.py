@@ -7,9 +7,11 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from conetheta import intmat, lattice
 from conetheta.errors import BadCharacteristic, NonPositiveRestriction, RadiusOverflow
-from conetheta.lattice import ConeSpec, SplitBasis, enumerate_cone
+from conetheta.lattice import ConeForm, ConeSpec, SplitBasis, enumerate_cone
 from conetheta.rng import SplitMix64
 from conetheta.theta import (
     Characteristic,
@@ -23,6 +25,7 @@ from conetheta.theta import (
     tail_bound,
     theta_char,
     theta_term,
+    theta_terms,
     verify_cocycle,
     wedge_function,
 )
@@ -90,19 +93,53 @@ def test_cone_sum_matches_brute_at_random_points():
 
 
 def test_tail_bound_rank_zero():
-    assert tail_bound(ConeSpec(np.zeros((1, 0), dtype=np.int64), (0,), 0.0), OM1, Z0, 3.0) == 0.0
+    point = ConeSpec(np.zeros((1, 0), dtype=np.int64), (0,), 0.0)
+    assert tail_bound(ConeForm(point, OM1.imag), Z0, 3.0) == 0.0
 
 
 def test_tail_bound_dominates_remainder():
-    bound = tail_bound(FULL1, OM1, Z0, 10.0)
+    bound = tail_bound(ConeForm(FULL1, OM1.imag), Z0, 10.0)
     remainder = 2 * sum(math.exp(-math.pi * m * m) for m in range(11, 80))
     assert remainder <= bound <= 1e-40
 
 
 def test_tail_bound_monotone():
-    b5 = tail_bound(FULL1, OM1, Z0, 5.0)
-    b6 = tail_bound(FULL1, OM1, Z0, 6.0)
+    form = ConeForm(FULL1, OM1.imag)
+    b5 = tail_bound(form, Z0, 5.0)
+    b6 = tail_bound(form, Z0, 6.0)
     assert b6 <= b5
+
+
+def test_cone_sum_factors_the_cone_once(monkeypatch):
+    # one eigvalsh and one Cholesky per sum, and the cone, validated when
+    # it was built, is not validated again (also not by with_extra_shift)
+    cone = ConeSpec(np.array([[1, 0], [1, 1], [0, 1]]), (0, Fraction(1, 3), 0), 0.0)
+    omega = np.array([[0.1 + 1.0j, 0.2j, 0.0], [0.2j, 1.5j, 0.1j], [0.0, 0.1j, 0.3 + 2.0j]])
+    Z = np.array([0.1 + 0.2j, -0.3 + 0.1j, 0.2 - 0.25j])
+    counts = defaultdict(int)
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for owner, name in (
+        (np.linalg, "eigvalsh"),
+        (np.linalg, "cholesky"),
+        (np.linalg, "matrix_rank"),
+        (intmat, "is_primitive_columns"),
+        (lattice, "is_primitive_columns"),  # the name ConeSpec calls
+    ):
+        counted(owner, name)
+    ConeSum(cone).evaluate(omega, Z)
+    assert dict(counts) == {"eigvalsh": 1, "cholesky": 1}
+    counts.clear()
+    theta_char(Characteristic((0, Fraction(1, 2), 0), (1, 2, 2)), Z, omega, cone)
+    assert dict(counts) == {"eigvalsh": 1, "cholesky": 1}
 
 
 def test_tail_is_true_bound():
@@ -111,13 +148,13 @@ def test_tail_is_true_bound():
         (OM1, FULL1, np.array([0.2 + 0.1j])),
         (np.diag([-1j, 1j]), ConeSpec(np.array([[0], [1]]), (0, 0), 0.0), np.array([0.1, 0.2 - 0.2j])),
     ]:
-        Q = om.imag
+        form = ConeForm(cone, om.imag)
         for r in (4.0, 6.0):
-            pts_r = enumerate_cone(cone.with_radius(r), Q)
-            pts_2r = enumerate_cone(cone.with_radius(2 * r), Q)
+            pts_r = enumerate_cone(form, r)
+            pts_2r = enumerate_cone(form, 2 * r)
             v_r = complex_fsum([theta_term(K, Z, om) for K in pts_r])
             v_2r = complex_fsum([theta_term(K, Z, om) for K in pts_2r])
-            assert abs(v_2r - v_r) <= tail_bound(cone, om, Z, r)
+            assert abs(v_2r - v_r) <= tail_bound(form, Z, r)
 
 
 def test_evaluation_deterministic():
@@ -381,3 +418,76 @@ def test_cone_sums_match_mpmath_oracle(omega, cone, char, Z):
     _, _, radius = ConeSum(cone).evaluate(omega, Z)
     oracle = _mp_cone_sum(cone, omega, Z, radius)
     assert abs(tv.value - oracle) <= tv.tail + 1e-14
+
+
+# ---------------------------------------------------------------------------
+# the radius search
+
+
+@st.composite
+def _radius_cases(draw):
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, n))
+    U = np.eye(n, dtype=np.int64)
+    moves = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-1, 1))
+    for i, j, c in draw(st.lists(moves, max_size=4)):
+        if i != j:
+            U[:, i] += c * U[:, j]
+    perm = draw(st.permutations(range(n)))
+    gens = U[:, list(perm)[:m]]  # columns of a unimodular matrix: a primitive sublattice
+    entries = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+    B = np.array(draw(st.lists(entries, min_size=n * n, max_size=n * n))).reshape(n, n)
+    Q = B.T @ B + draw(st.floats(0.5, 2.0)) * np.eye(n)
+    X = np.array(draw(st.lists(entries, min_size=n * n, max_size=n * n))).reshape(n, n) / 2
+    omega = (X + X.T) / 2 + 1j * Q
+    fractions = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 6))
+    shift = draw(st.lists(fractions, min_size=n, max_size=n))
+    re = draw(st.lists(st.floats(-0.5, 0.5), min_size=n, max_size=n))
+    im = draw(st.lists(st.floats(-0.3, 0.3), min_size=n, max_size=n))
+    Z = np.array(re) + 1j * np.array(im)
+    tol = 10.0 ** draw(st.floats(-14.0, -6.0))
+    return ConeSpec(gens, tuple(shift), 0.0), omega, Z, tol
+
+
+#: largest coefficient box the reference scans (a few cones with a small
+#: lam would need millions of points)
+_MAX_BOX = 100_000
+
+
+def _box(cone, Q, radius):
+    """Coefficients of the box around the minimiser that bounds the
+    ellipsoid tK Q K <= radius**2, as ranges."""
+    s = cone.shift_float()
+    G = cone.generators.astype(float)
+    A = G.T @ Q @ G
+    b = G.T @ Q @ s
+    c_star = np.linalg.solve(A, -b)
+    q_min = float(s @ Q @ s + b @ c_star)
+    half = math.sqrt(max(radius**2 - q_min, 0.0) / float(np.min(np.linalg.eigvalsh(A)))) + 1e-9
+    return [range(math.ceil(c - half), math.floor(c + half) + 1) for c in c_star]
+
+
+def _box_filter_sum(cone, omega, Z, radius):
+    """Sum of the terms with tK Q K <= radius**2, found by scanning the box."""
+    Q = omega.imag
+    box = np.array(list(itertools.product(*_box(cone, Q, radius))), dtype=float)
+    K = cone.shift_float() + box.reshape(-1, cone.rank) @ cone.generators.T
+    K = K[lattice.form_values(K, Q) <= radius**2]
+    return complex_fsum(theta_terms(K, Z, omega))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_radius_cases())
+def test_radius_search_is_smallest_certifying_radius(case):
+    cone, omega, Z, tol = case
+    fam = ConeSum(cone, tol)
+    value, bound, radius = fam.evaluate(omega, Z)
+    form = ConeForm(cone, omega.imag)
+    assert bound <= tol and radius <= fam.max_radius
+    assert bound == tail_bound(form, Z, radius)
+    # the grid point below does not certify (tail_bound is +inf below beta + 1)
+    assert tail_bound(form, Z, radius - 0.125) > tol
+    wide = radius + 1.5
+    assume(math.prod(len(r) for r in _box(cone, omega.imag, wide)) <= _MAX_BOX)
+    reference = _box_filter_sum(cone, omega, Z, wide)
+    assert abs(value - reference) <= bound + tail_bound(form, Z, wide) + 1e-14
