@@ -19,7 +19,6 @@ import argparse
 import cmath
 import itertools
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -641,16 +640,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("THETA_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 1:
-                raise ValueError
-        except ValueError:
-            print("invalid THETA_THREADS=%r" % threads, file=sys.stderr)
-            return 2
-        # evaluation is sequential and sums are order-independent; the cap
-        # is accepted for interface compatibility
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -4,17 +4,20 @@ and the induced chain map between the resolutions of two bases.
 
 Coefficients are Python ints (arbitrary precision); a group-ring element
 is a finite map from exponent vectors to nonzero integers.  All operations
-are exact.
+are exact; ring operations skip the public constructor's validation.  A
+ChainMap checks and decomposes its basis change once, for any number of
+chains.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NotSymplectic, ShapeMismatch
-from .intmat import as_int_matrix
+from .intmat import as_int_matrix, unimodular_inverse
 from .lattice import ModularElement, is_symplectic
 
 
@@ -36,14 +39,22 @@ class GroupRingElement:
                 clean[tuple(int(e) for e in exp)] = int(coef)
         self.terms = clean
 
+    @classmethod
+    def _of(cls, rank: int, terms: dict) -> "GroupRingElement":
+        """Element from int-tuple exponents of length rank; drops zeros only."""
+        self = object.__new__(cls)
+        self.rank = rank
+        self.terms = {e: c for e, c in terms.items() if c}
+        return self
+
     # -- constructors ------------------------------------------------------
     @classmethod
     def zero(cls, rank: int) -> "GroupRingElement":
-        return cls(rank)
+        return cls._of(rank, {})
 
     @classmethod
     def one(cls, rank: int) -> "GroupRingElement":
-        return cls(rank, {(0,) * rank: 1})
+        return cls._of(rank, {(0,) * rank: 1})
 
     @classmethod
     def monomial(cls, exp, coef: int = 1) -> "GroupRingElement":
@@ -52,27 +63,33 @@ class GroupRingElement:
 
     # -- ring structure ----------------------------------------------------
     def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
+        if other.rank != self.rank:
+            raise ShapeMismatch("group-ring elements of different rank")
         out = dict(self.terms)
         for exp, coef in other.terms.items():
             out[exp] = out.get(exp, 0) + coef
-        return GroupRingElement(self.rank, out)
+        return GroupRingElement._of(self.rank, out)
 
     def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
         return self + (-other)
 
     def __neg__(self) -> "GroupRingElement":
-        return GroupRingElement(self.rank, {e: -c for e, c in self.terms.items()})
+        return GroupRingElement._of(self.rank, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other: "GroupRingElement") -> "GroupRingElement":
+        """Convolution product; exponent vectors add."""
+        if other.rank != self.rank:
+            raise ShapeMismatch("group-ring elements of different rank")
         out: dict[tuple, int] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 key = tuple(a + b for a, b in zip(e1, e2))
                 out[key] = out.get(key, 0) + c1 * c2
-        return GroupRingElement(self.rank, out)
+        return GroupRingElement._of(self.rank, out)
 
     def scale(self, c: int) -> "GroupRingElement":
-        return GroupRingElement(self.rank, {e: c * v for e, v in self.terms.items()})
+        c = int(c)
+        return GroupRingElement._of(self.rank, {e: c * v for e, v in self.terms.items()})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -98,51 +115,34 @@ class GroupRingElement:
         return "GR(" + " ".join(bits) + ")"
 
 
-def gr_multiply(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
-    """Convolution product; exponent vectors add."""
-    return a * b
-
-
 def x_minus_one(rank: int, exp) -> GroupRingElement:
     return GroupRingElement(rank, {tuple(int(e) for e in exp): 1, (0,) * rank: -1})
-
-
-def geometric_sum(rank: int, index: int, e: int) -> GroupRingElement:
-    """Group-ring element g with x^e - 1 = g * (x - 1) for the generator at
-    ``index``: x^{e-1}+...+1 for e>0, 0 for e=0, -(x^{-1}+...+x^{e}) for e<0."""
-    terms = {}
-    if e > 0:
-        powers = range(0, e)
-        coef = 1
-    elif e < 0:
-        powers = range(e, 0)
-        coef = -1
-    else:
-        return GroupRingElement.zero(rank)
-    for p in powers:
-        exp = [0] * rank
-        exp[index] = p
-        terms[tuple(exp)] = coef
-    return GroupRingElement(rank, terms)
 
 
 def telescope_decompose(exp, basis_order=None) -> list[GroupRingElement]:
     """Coefficients R_j with x - 1 = sum_j R_j (x'_j - 1) for the monomial x
     with the given exponent vector, peeling factors in ``basis_order``
-    (default: ascending index).  R_j = (prod of earlier factors) * geom_j."""
+    (default: ascending index).  R_j = x^prefix (x'_j^e - 1) / (x'_j - 1),
+    with x^prefix the factors peeled before j, written out term by term:
+    +x^(prefix + p e_j) for p in range(e), or -x^(prefix + p e_j) for p in
+    range(e, 0)."""
     exp = [int(e) for e in exp]
     rank = len(exp)
     order = list(basis_order) if basis_order is not None else list(range(rank))
     if sorted(order) != list(range(rank)):
         raise ShapeMismatch("basis_order must be a permutation of 0..rank-1")
     out = [GroupRingElement.zero(rank) for _ in range(rank)]
-    prefix = GroupRingElement.one(rank)
+    prefix = [0] * rank  # exponent of the factors peeled so far; prefix[j] = 0 here
     for j in order:
-        if exp[j]:
-            out[j] = prefix * geometric_sum(rank, j, exp[j])
-            step = [0] * rank
-            step[j] = exp[j]
-            prefix = prefix * GroupRingElement.monomial(step)
+        e = exp[j]
+        if e:
+            powers, sign = (range(e), 1) if e > 0 else (range(e, 0), -1)
+            terms = {}
+            for p in powers:
+                prefix[j] = p
+                terms[tuple(prefix)] = sign
+            out[j] = GroupRingElement._of(rank, terms)
+            prefix[j] = e
     return out
 
 
@@ -242,57 +242,64 @@ def gr_det(mat: list[list[GroupRingElement]], rank: int) -> GroupRingElement:
     return out
 
 
-def s_star(S, chain: KoszulChain, basis_order=None) -> KoszulChain:
-    """Chain map induced by the basis change x_i = prod_j (x'_j)^{S_ji}:
+class ChainMap:
+    """Chain map s_* between the Koszul resolutions of the reference basis
+    and the basis changed by x_i = prod_j (x'_j)^{S_ji}:
 
         1 (x) w_{p_1}..w_{p_k}  |->  sum over increasing {t_1<..<t_k} of
         det(R_{p_i t_j}) (x) w_{t_1}..w_{t_k},
 
-    where the R rows come from telescope_decompose of each column of S with
-    the given peeling order.  Components arise from ordered index tuples
-    normalised to increasing subsets; the determinant's alternating
-    structure carries the sign.  Any peeling order yields a chain map; the
-    orders differ by a chain homotopy.
+    where row i of R is telescope_decompose of column i of S in the given
+    peeling order.  The constructor checks once that S is symplectic
+    (NotSymplectic otherwise) and decomposes each column once; a call only
+    expands the determinants, whose alternating structure carries the sign.
+    Any peeling order yields a chain map; the orders differ by a chain
+    homotopy.
     """
-    S = as_int_matrix(S)
-    if not is_symplectic(ModularElement.from_matrix(S)):
-        raise NotSymplectic("basis-change matrix is not symplectic")
-    rank = chain.rank
-    if S.shape != (rank, rank):
-        raise ShapeMismatch("matrix size does not match chain rank")
-    rows = {i: telescope_decompose(S[:, i], basis_order) for i in range(rank)}
-    import itertools
 
-    out: dict[tuple, GroupRingElement] = {}
-    for subset, coef in chain.components.items():
-        k = len(subset)
-        for target in itertools.combinations(range(rank), k):
-            mat = [[rows[p][t] for t in target] for p in subset]
-            det = gr_det(mat, rank)
-            if det.is_zero():
-                continue
-            term = coef * det
-            out[target] = out.get(target, GroupRingElement.zero(rank)) + term
-    return KoszulChain(rank, chain.degree, out)
+    def __init__(self, S, basis_order=None):
+        S = as_int_matrix(S)
+        if not is_symplectic(ModularElement.from_matrix(S)):
+            raise NotSymplectic("basis-change matrix is not symplectic")
+        self.rank = rank = S.shape[0]
+        self.rows = [telescope_decompose(S[:, i], basis_order) for i in range(rank)]
+
+    def __call__(self, chain: KoszulChain) -> KoszulChain:
+        rank = self.rank
+        if chain.rank != rank:
+            raise ShapeMismatch("matrix size does not match chain rank")
+        rows = self.rows
+        out: dict[tuple, GroupRingElement] = {}
+        for subset, coef in chain.components.items():
+            for target in itertools.combinations(range(rank), len(subset)):
+                det = gr_det([[rows[p][t] for t in target] for p in subset], rank)
+                if det.is_zero():
+                    continue
+                term = coef * det
+                out[target] = out.get(target, GroupRingElement.zero(rank)) + term
+        return KoszulChain(rank, chain.degree, out)
+
+
+def s_star(S, chain: KoszulChain, basis_order=None) -> KoszulChain:
+    """Image of ``chain`` under the chain map of the basis change S (see
+    ChainMap); builds the map for this one call."""
+    return ChainMap(S, basis_order)(chain)
 
 
 def verify_chain_map(S, n: int, maxdeg: int, basis_order=None) -> bool:
     """Exact check of s_* o d = d' o s_* on every generator 1 (x) w_subset of
     degree <= maxdeg, where d uses the transformed basis exponents (columns
-    of S) and d' the reference basis."""
+    of S) and d' the reference basis, with one ChainMap for all of them."""
     S = as_int_matrix(S)
     rank = 2 * n
     if S.shape != (rank, rank):
         raise ShapeMismatch("matrix must be 2n x 2n")
-    if not is_symplectic(ModularElement.from_matrix(S)):
-        raise NotSymplectic("basis-change matrix is not symplectic")
-    import itertools
-
+    s_map = ChainMap(S, basis_order)
     for deg in range(1, maxdeg + 1):
         for subset in itertools.combinations(range(rank), deg):
             gen = KoszulChain.generator(rank, subset)
-            lhs = s_star(S, koszul_d(gen, basis=S), basis_order)
-            rhs = koszul_d(s_star(S, gen, basis_order), basis=None)
+            lhs = s_map(koszul_d(gen, basis=S))
+            rhs = koszul_d(s_map(gen), basis=None)
             if lhs != rhs:
                 return False
     return True
@@ -302,8 +309,6 @@ def verify_chain_map(S, n: int, maxdeg: int, basis_order=None) -> bool:
 # the five structural basis-change types, used by the randomised suites
 
 def _block_diag_symplectic(A) -> np.ndarray:
-    from .intmat import unimodular_inverse
-
     A = as_int_matrix(A)
     n = A.shape[0]
     S = np.zeros((2 * n, 2 * n), dtype=np.int64)

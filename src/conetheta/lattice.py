@@ -339,9 +339,12 @@ class ConeForm:
     triangular Cholesky factor R (A = tR R), the minimiser ``c_star`` of the
     form on s + span(G), its minimum ``q_min`` and t_s = sqrt(ts Q s).
     enumerate_cone and theta.tail_bound read these at any radius.  A cone of
-    rank 0 has no factor.  Raises NonPositiveRestriction when Q is not
-    positive definite on the span, and ValidationError when q_min or t_s is
-    not finite (a shift too large for the form).
+    rank 0 has no factor.  When trunc(c*) != 0, the shift is moved by the
+    lattice vector G trunc(c*) in exact rationals, so that a large integer
+    part does not round away the low bits of float(s) + G c; the points stay
+    the same.  Raises NonPositiveRestriction when Q is not positive definite
+    on the span, and ValidationError when q_min or t_s is not finite (a
+    shift too large for the form).
     """
 
     def __init__(self, cone: ConeSpec, Q):
@@ -350,10 +353,8 @@ class ConeForm:
             raise ShapeMismatch("form and cone dimensions differ")
         self.Q = Q
         self.rank = m = cone.rank
-        self.shift = s = cone.shift_float()
         self.G = G = cone.generators.astype(float)
-        sQs = float(s @ Q @ s)
-        self.q_min = sQs
+        A = None
         if m:
             A = G.T @ Q @ G
             A = (A + A.T) / 2
@@ -362,12 +363,27 @@ class ConeForm:
                 raise NonPositiveRestriction("form is not positive definite on the cone span")
             self.lam = float(eig[0])
             self.R = np.linalg.cholesky(A).T
+        self._place(cone.shift_float(), A)
+        if m and np.all(np.isfinite(self.c_star)):
+            t = [int(c) for c in np.trunc(self.c_star)]
+            if any(t):
+                moved = cone.with_extra_shift(_exact(cone.generators) @ np.array(t, dtype=object))
+                self._place(moved.shift_float(), A)
+        if not (math.isfinite(self.q_min) and math.isfinite(self.t_s)):
+            raise ValidationError("cone shift too large: its norm under the form is not finite")
+
+    def _place(self, s: np.ndarray, A: np.ndarray | None) -> None:
+        """shift, c_star, q_min and t_s for the float shift s (A, lam and R
+        do not depend on it)."""
+        Q, G = self.Q, self.G
+        self.shift = s
+        sQs = float(s @ Q @ s)
+        self.q_min = sQs
+        if A is not None:
             b = G.T @ Q @ s
             self.c_star = np.linalg.solve(A, -b)
             self.q_min = float(sQs + b @ self.c_star)
         self.t_s = math.sqrt(max(sQs, 0.0)) if np.any(s) else 0.0
-        if not (math.isfinite(self.q_min) and math.isfinite(self.t_s)):
-            raise ValidationError("cone shift too large: its norm under the form is not finite")
 
 
 #: relative widening of the enumeration budget, so that rounding in the

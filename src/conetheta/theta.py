@@ -347,16 +347,6 @@ class LambdaShifted(Family):
         return pref * v, abs(pref) * t
 
 
-@dataclass(frozen=True)
-class ScaledFamily(Family):
-    inner: Family
-    factor: complex
-
-    def value_tail(self, omega, Z):
-        v, t = self.inner.value_tail(omega, Z)
-        return self.factor * v, abs(self.factor) * t
-
-
 # ---------------------------------------------------------------------------
 # public operations
 
@@ -373,10 +363,6 @@ def theta_char(
     shifted = cone.with_extra_shift(char.a)
     v, t, _ = ConeSum(shifted, tol).evaluate(omega, Z)
     return ThetaValue(v, t)
-
-
-def cone_evaluator(omega, cone: ConeSpec, tol: float = DEFAULT_TOL) -> Evaluator:
-    return Evaluator(ConeSum(cone, tol), np.asarray(omega, dtype=complex))
 
 
 def lambda_action(Mvec, Nvec, f: Evaluator, omega, delta=None) -> Evaluator:

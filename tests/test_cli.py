@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -134,6 +135,26 @@ def test_eval_cone_shift_beyond_exact_float(tmp_path, capsys, shift):
     payload = {"n": 1, "k": 0, "omega": _OMEGA1, "cone": {"generators": [[1]], "shift": [shift]}}
     assert main(["eval", "--instance", write(tmp_path, "i.json", payload), "--z", "0,0"]) == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "shift, small, frac",
+    [("9007199254740991", "0", 0), ("1000000000001/3", "2/3", Fraction(2, 3))],
+    ids=["integer", "fraction"],
+)
+def test_eval_cone_shift_with_large_integer_part(tmp_path, capsys, shift, small, frac):
+    # a shift along the generator does not change the cone's points, so its
+    # integer part must not change the sum
+    def run(s):
+        cone = {"generators": [[1]], "shift": [s]}
+        payload = {"n": 1, "k": 0, "omega": _OMEGA1, "cone": cone}
+        assert main(["eval", "--instance", write(tmp_path, "i.json", payload), "--z", "0,0"]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    out = run(shift)
+    assert out == run(small)
+    exact = math.fsum(math.exp(-math.pi * float(c + frac) ** 2) for c in range(-30, 31))
+    assert abs(out["value"]["re"] - exact) <= out["tail"] + 1e-15
 
 
 def test_eval_characteristic(tmp_path, capsys):
@@ -314,14 +335,6 @@ def test_verify_json_out(tmp_path, capsys):
     capsys.readouterr()
     data = json.loads(out_file.read_text())
     assert data["suite"] == "modular-case3-1d" and data["pass"]
-
-
-def test_theta_threads_validation(monkeypatch, tmp_path):
-    inst = write(tmp_path, "i.json", {"n": 1, "k": 1, "omega": cm([[-1j]])})
-    monkeypatch.setenv("THETA_THREADS", "junk")
-    assert main(["eval", "--instance", inst]) == 2
-    monkeypatch.setenv("THETA_THREADS", "4")
-    assert main(["eval", "--instance", inst]) == 0
 
 
 def test_instance_signature_mismatch():

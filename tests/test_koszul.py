@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conetheta.errors import NotSymplectic
+from conetheta import koszul
+from conetheta.errors import NotSymplectic, ShapeMismatch
 from conetheta.koszul import (
+    ChainMap,
     GroupRingElement,
     KoszulChain,
-    gr_multiply,
     koszul_d,
     random_type_word,
     s_star,
@@ -30,19 +31,19 @@ def mono(*exp):
 
 def test_gr_multiply_unit():
     x = mono(1, 0, 0, 0)
-    assert gr_multiply(GroupRingElement.one(RANK), x) == x
+    assert GroupRingElement.one(RANK) * x == x
 
 
 def test_gr_multiply_difference_of_squares():
     x = mono(1, 0, 0, 0)
     one = GroupRingElement.one(RANK)
-    assert gr_multiply(x - one, x + one) == mono(2, 0, 0, 0) - one
+    assert (x - one) * (x + one) == mono(2, 0, 0, 0) - one
 
 
 def test_gr_multiply_two_factors():
     a = x_minus_one(RANK, (1, 0, 0, 0))
     b = x_minus_one(RANK, (0, 1, 0, 0))
-    product = gr_multiply(a, b)
+    product = a * b
     expected = (
         mono(1, 1, 0, 0) - mono(1, 0, 0, 0) - mono(0, 1, 0, 0) + GroupRingElement.one(RANK)
     )
@@ -69,7 +70,7 @@ def test_gr_multiply_two_factors():
 def test_gr_multiply_commutes(terms_a, terms_b):
     a = GroupRingElement(RANK, dict(terms_a))
     b = GroupRingElement(RANK, dict(terms_b))
-    assert gr_multiply(a, b) == gr_multiply(b, a)
+    assert a * b == b * a
 
 
 def test_koszul_d_degree_one():
@@ -131,14 +132,65 @@ def test_telescope_inverse():
     assert R[0] == GroupRingElement(RANK, {(-1, 0, 0, 0): -1})
 
 
+def test_public_constructor_validates_and_drops_zeros():
+    with pytest.raises(ShapeMismatch):
+        GroupRingElement(4, {(1, 0): 1})
+    assert GroupRingElement(RANK, {(1, 0, 0, 0): 0, (0, 1, 0, 0): 2}).terms == {(0, 1, 0, 0): 2}
+
+
+def test_ring_operations_drop_zeros_and_reject_other_ranks():
+    x = mono(1, 0, 0, 0)
+    assert (x - x).terms == {} and x.scale(0).terms == {}
+    assert ((x + GroupRingElement.one(RANK)) * (x - GroupRingElement.one(RANK))).terms == {
+        (2, 0, 0, 0): 1,
+        (0, 0, 0, 0): -1,
+    }
+    with pytest.raises(ShapeMismatch):
+        x + mono(1, 0)
+    with pytest.raises(ShapeMismatch):
+        x * mono(1, 0)
+
+
+def _product_form_telescope(exp, order):
+    """The telescoping coefficients as a product: R_j = prefix * g_j, with the
+    prefix the monomial of the factors peeled before j and g_j the geometric
+    sum with x'_j^e - 1 = g_j (x'_j - 1)."""
+    rank = len(exp)
+    out = [GroupRingElement.zero(rank) for _ in range(rank)]
+    prefix = GroupRingElement.one(rank)
+    for j in order:
+        e = exp[j]
+        if e:
+            powers, coef = (range(e), 1) if e > 0 else (range(e, 0), -1)
+            geom = GroupRingElement.zero(rank)
+            for p in powers:
+                step = [0] * rank
+                step[j] = p
+                geom = geom + GroupRingElement.monomial(step, coef)
+            out[j] = prefix * geom
+            step = [0] * rank
+            step[j] = e
+            prefix = prefix * GroupRingElement.monomial(step)
+    return out
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.tuples(*([st.integers(-4, 4)] * RANK)))
-def test_telescope_reconstruction(exp):
+@given(st.data())
+def test_telescope_matches_product_form(data):
+    rank = data.draw(st.integers(1, 6))
+    exp = data.draw(st.lists(st.integers(-5, 5), min_size=rank, max_size=rank))
+    order = data.draw(st.permutations(range(rank)))
+    assert telescope_decompose(exp, order) == _product_form_telescope(exp, order)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(*([st.integers(-4, 4)] * RANK)), st.permutations(range(RANK)))
+def test_telescope_reconstruction(exp, order):
     total = GroupRingElement.one(RANK)
-    for j, R in enumerate(telescope_decompose(exp)):
+    for j, R in enumerate(telescope_decompose(exp, order)):
         step = [0] * RANK
         step[j] = 1
-        total = total + gr_multiply(R, x_minus_one(RANK, step))
+        total = total + R * x_minus_one(RANK, step)
     assert total == GroupRingElement.monomial(exp)
 
 
@@ -178,6 +230,41 @@ def test_s_star_type_Ib_top_coefficient_with_its_order():
 def test_s_star_rejects_nonsymplectic():
     with pytest.raises(NotSymplectic):
         s_star(np.eye(RANK, dtype=np.int64) * 2, KoszulChain.generator(RANK, (0,)))
+
+
+def test_chain_map_matches_s_star_and_checks_rank():
+    rng = SplitMix64(5)
+    S = random_type_word(2, 1, 3, rng)
+    s_map = ChainMap(S, (1, 0, 2, 3))
+    for sub in [(0,), (2,), (0, 3), (1, 2, 3)]:
+        gen = KoszulChain.generator(RANK, sub)
+        assert s_map(gen) == s_star(S, gen, (1, 0, 2, 3))
+    with pytest.raises(ShapeMismatch):
+        s_map(KoszulChain.generator(2, (0,)))
+
+
+def test_verify_chain_map_rejects_nonsymplectic():
+    with pytest.raises(NotSymplectic):
+        verify_chain_map(np.eye(RANK, dtype=np.int64) * 2, 2, 2)
+
+
+def test_verify_chain_map_builds_one_chain_map(monkeypatch):
+    calls = {"is_symplectic": 0, "telescope_decompose": 0}
+
+    def counted(name):
+        original = getattr(koszul, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(koszul, name, wrapper)
+
+    counted("is_symplectic")
+    counted("telescope_decompose")
+    S = random_type_word(2, 1, 3, SplitMix64(2024))
+    assert verify_chain_map(S, 2, 2)
+    assert calls == {"is_symplectic": 1, "telescope_decompose": RANK}
 
 
 def test_verify_chain_map_identity():

@@ -247,6 +247,22 @@ def test_cone_form_rejects_shift_with_infinite_norm():
         ConeForm(cone, np.array([[1.0]]))
 
 
+def test_cone_form_moves_shift_by_lattice_vector():
+    # c* = -(2**53 - 1): the shift moves by G trunc(c*) to exactly 0
+    form = ConeForm(ConeSpec(np.array([[1]]), (2**53 - 1,), 0.0), np.array([[1.0]]))
+    assert form.shift.tolist() == [0.0] and form.c_star.tolist() == [0.0] and form.t_s == 0.0
+    # c* = (-1/2, 4/3) moves by G (0, 1) in exact rationals
+    cone = ConeSpec(np.array([[1, 0], [2, 1]]), (Fraction(1, 2), Fraction(-1, 3)), 0.0)
+    assert ConeForm(cone, np.eye(2)).shift.tolist() == [0.5, float(Fraction(2, 3))]
+
+
+def test_cone_form_keeps_shift_with_small_minimiser():
+    cone = ConeSpec(np.array([[1], [1]]), (Fraction(-2, 3), Fraction(1, 7)), 0.0)
+    form = ConeForm(cone, np.eye(2))
+    assert abs(form.c_star[0]) < 1
+    assert form.shift.tolist() == cone.shift_float().tolist()
+
+
 def test_enumerate_cone_prefix_property():
     cone = ConeSpec(np.eye(2, dtype=np.int64), (0, 0), 0.0)
     Q = np.array([[2.0, 0.5], [0.5, 1.0]])
@@ -262,8 +278,10 @@ def _box_filter_cone(cone, Q):
     """Reference enumeration: scan the coefficient box around the minimiser
     that bounds the ellipsoid, keep tK Q K <= radius**2 and sort by (norm,
     coordinates).  Points are scored with form_values, whose value for a row
-    does not depend on the other rows."""
-    s = cone.shift_float()
+    does not depend on the other rows.  The points are built from the shift
+    ConeForm enumerates from (moved by a lattice vector when |c*| >= 1), so
+    that equal points have equal floats."""
+    s = ConeForm(cone, Q).shift
     G = cone.generators.astype(float)
     A = G.T @ Q @ G
     lam = float(np.min(np.linalg.eigvalsh(A)))
