@@ -143,7 +143,7 @@ class VerificationReport:
 
 def _positive_cone(inst: ProblemInstance) -> tuple[SplitBasis, ConeSpec]:
     basis = inst.basis or find_split_basis(inst.omega.imag, inst.k)
-    cone = ConeSpec(basis.positive_generators(), (0,) * inst.n, 0.0)
+    cone = ConeSpec(basis.positive_generators(), (0,) * inst.n)
     return basis, cone
 
 
@@ -331,8 +331,8 @@ def suite_wedge(inst: ProblemInstance) -> VerificationReport:
     plain_gens = basis.N[:, idx:]
     trans_gens = plain_gens.copy()
     trans_gens[:, 0] -= basis.N[:, idx - 1]
-    e_plain = Evaluator(ConeSum(ConeSpec(plain_gens, (0,) * inst.n, 0.0), 1e-12), inst.omega)
-    e_trans = Evaluator(ConeSum(ConeSpec(trans_gens, (0,) * inst.n, 0.0), 1e-12), inst.omega)
+    e_plain = Evaluator(ConeSum(ConeSpec(plain_gens, (0,) * inst.n), 1e-12), inst.omega)
+    e_trans = Evaluator(ConeSum(ConeSpec(trans_gens, (0,) * inst.n), 1e-12), inst.omega)
     shear = tuple(int(x) for x in basis.N[:, idx - 1])
     after = tuple(int(x) for x in basis.N[:, idx])
     worst1 = worst2 = 0.0

@@ -1,16 +1,29 @@
-"""Exact integer matrix utilities: determinants, inverses of unimodular
-matrices, Smith normal form, and unimodular completion of primitive columns.
+"""Exact integer matrix utilities: a determinant, one unimodular row
+reduction and what it answers, and exact products.
 
-Everything here runs over Python ints (arbitrary precision); numpy arrays
-are accepted and converted.  Sizes are desk scale (n <= 8), so the simple
-cubic algorithms are fine.
+The reduction finds, for an n x m integer matrix V, a unimodular U with
+U V = [T; 0] and T upper triangular.  The gcd of the m x m minors of V is
+|det T|, so V spans a primitive rank-m sublattice exactly when the diagonal
+of T is +-1 (is_primitive_columns).  A square A with det +-1 then has the
+inverse T^{-1} U by back substitution (unimodular_inverse), and for a
+primitive V the last n - m columns of U^{-1} complete V to a unimodular
+matrix (unimodular_completion).  int_det is a separate fraction-free
+determinant.
+
+Everything runs over Python ints (arbitrary precision); numpy arrays are
+accepted and converted.  Products that must not wrap go through ``exact``
+(Python ints in an object array) and come back through ``to_int64``, which
+raises ValidationError for an entry beyond int64.  Sizes are desk scale
+(n <= 8), so the simple cubic algorithms are fine.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeMismatch, SingularMatrix
+from .errors import ShapeMismatch, SingularMatrix, ValidationError
+
+_INT64 = np.iinfo(np.int64)
 
 
 def as_int_matrix(M) -> np.ndarray:
@@ -23,6 +36,19 @@ def as_int_matrix(M) -> np.ndarray:
             raise ShapeMismatch("matrix entries are not integers")
         A = B
     return A.astype(np.int64)
+
+
+def exact(M) -> np.ndarray:
+    """The integer matrix M over Python ints, so that products cannot wrap."""
+    return np.asarray(M).astype(object)
+
+
+def to_int64(M) -> np.ndarray:
+    """An exact integer matrix as int64; ValidationError if an entry does not fit."""
+    M = np.asarray(M)
+    if any(not (_INT64.min <= x <= _INT64.max) for x in M.flat):
+        raise ValidationError("integer matrix entry beyond the int64 range")
+    return M.astype(np.int64)
 
 
 def int_det(M) -> int:
@@ -52,22 +78,6 @@ def int_det(M) -> int:
     return sign * A[n - 1][n - 1]
 
 
-def unimodular_inverse(M) -> np.ndarray:
-    """Exact inverse of an integer matrix with determinant +-1."""
-    A = as_int_matrix(M)
-    n = A.shape[0]
-    d = int_det(A)
-    if d not in (1, -1):
-        raise SingularMatrix("matrix is not unimodular (det=%d)" % d)
-    # adjugate via cofactors; n <= 8 keeps this cheap
-    adj = np.empty((n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            minor = np.delete(np.delete(A, i, axis=0), j, axis=1)
-            adj[j, i] = (-1) ** (i + j) * int_det(minor)
-    return adj * d
-
-
 def _xgcd(a: int, b: int):
     x, nx, y, ny, g, ng = 1, 0, 0, 1, a, b
     while ng:
@@ -80,122 +90,91 @@ def _xgcd(a: int, b: int):
     return x, y, g
 
 
-def smith_normal_form(M) -> list[int]:
-    """Elementary divisors of an integer matrix (nonzero ones, in order)."""
-    A = [[int(x) for x in row] for row in as_int_matrix(M)]
-    rows, cols = len(A), len(A[0]) if A else 0
-    divisors = []
-    top = 0
-    while top < min(rows, cols):
-        # find a nonzero pivot
-        pivot = None
-        for i in range(top, rows):
-            for j in range(top, cols):
-                if A[i][j] != 0:
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
-        if pivot is None:
-            break
-        pi, pj = pivot
-        A[top], A[pi] = A[pi], A[top]
-        for row in A:
-            row[top], row[pj] = row[pj], row[top]
-        while True:
-            # clear the pivot column with gcd row operations
-            for i in range(top + 1, rows):
-                a, b = A[top][top], A[i][top]
-                if b == 0:
-                    continue
-                if b % a == 0:
-                    q = b // a
-                    for j in range(top, cols):
-                        A[i][j] -= q * A[top][j]
-                else:
-                    x, y, g = _xgcd(a, b)
-                    aa, bb = a // g, b // g
-                    for j in range(top, cols):
-                        u, v = A[top][j], A[i][j]
-                        A[top][j] = x * u + y * v
-                        A[i][j] = -bb * u + aa * v
-            # clear the pivot row with gcd column operations
-            for j in range(top + 1, cols):
-                a, b = A[top][top], A[top][j]
-                if b == 0:
-                    continue
-                if b % a == 0:
-                    q = b // a
-                    for i in range(top, rows):
-                        A[i][j] -= q * A[i][top]
-                else:
-                    x, y, g = _xgcd(a, b)
-                    aa, bb = a // g, b // g
-                    for i in range(top, rows):
-                        u, v = A[i][top], A[i][j]
-                        A[i][top] = x * u + y * v
-                        A[i][j] = -bb * u + aa * v
-            if all(A[i][top] == 0 for i in range(top + 1, rows)) and all(
-                A[top][j] == 0 for j in range(top + 1, cols)
-            ):
-                break
-        divisors.append(abs(A[top][top]))
-        top += 1
-    # enforce the divisibility chain
-    for i in range(len(divisors)):
-        for j in range(i + 1, len(divisors)):
-            a, b = divisors[i], divisors[j]
-            g = _xgcd(a, b)[2]
-            divisors[i], divisors[j] = g, a * b // g if g else 0
-    return [d for d in divisors if d != 0]
+def _reduce(A: list, m: int):
+    """(T, U) with U A = [T; 0] for the n x m integer rows A (changed in
+    place), U unimodular and T upper triangular with diagonal +-1; None when
+    the columns of A do not span a primitive rank-m sublattice.
+
+    Column by column, the first nonzero entry at or below the diagonal is
+    swapped up, and each lower entry b is cleared against the pivot a by
+    the rows (x, y; -b/g, a/g), where x a + y b = g = gcd(a, b); these have
+    determinant 1.  The pivot is then the gcd of its column below the rows
+    already fixed, and later columns do not change it, so a pivot other
+    than +-1 ends the reduction.
+    """
+    n = len(A)
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    for col in range(m):
+        piv = next((i for i in range(col, n) if A[i][col] != 0), None)
+        if piv is None:
+            return None
+        A[col], A[piv] = A[piv], A[col]
+        U[col], U[piv] = U[piv], U[col]
+        for i in range(col + 1, n):
+            a, b = A[col][col], A[i][col]
+            if b == 0:
+                continue
+            x, y, g = _xgcd(a, b)
+            for R in (A, U):
+                top, low = R[col], R[i]
+                R[col] = [x * u + y * v for u, v in zip(top, low)]
+                R[i] = [a // g * v - b // g * u for u, v in zip(top, low)]
+        if abs(A[col][col]) != 1:
+            return None
+    return A[:m], U
+
+
+def _inverse(A: list):
+    """The inverse of the square integer rows A over Python ints, or None
+    when det A != +-1: with U A = T, solve T X = U from the last row up,
+    dividing by T's diagonal entries +-1."""
+    n = len(A)
+    reduced = _reduce(A, n)
+    if reduced is None:
+        return None
+    T, U = reduced
+    X = [None] * n
+    for i in range(n - 1, -1, -1):
+        X[i] = [
+            T[i][i] * (U[i][j] - sum(T[i][l] * X[l][j] for l in range(i + 1, n)))
+            for j in range(n)
+        ]
+    return X
+
+
+def _int64_matrix(rows: list, n: int) -> np.ndarray:
+    return to_int64(np.array(rows, dtype=object).reshape(n, n))
 
 
 def is_primitive_columns(V) -> bool:
-    """True iff the columns generate a primitive full-rank sublattice
-    (all Smith elementary divisors equal 1)."""
+    """True iff the columns of V are independent and generate a primitive
+    sublattice (the gcd of their maximal minors is 1)."""
     V = as_int_matrix(V)
-    if V.shape[1] == 0:
-        return True
-    divs = smith_normal_form(V)
-    return len(divs) == V.shape[1] and all(d == 1 for d in divs)
+    return _reduce(V.tolist(), V.shape[1]) is not None
+
+
+def unimodular_inverse(M) -> np.ndarray:
+    """Exact inverse of an integer matrix with determinant +-1."""
+    A = as_int_matrix(M)
+    n = A.shape[0]
+    if A.shape != (n, n):
+        raise ShapeMismatch("inverse of a non-square matrix")
+    X = _inverse(A.tolist())
+    if X is None:
+        raise SingularMatrix("matrix is not unimodular (det=%d)" % int_det(A))
+    return _int64_matrix(X, n)
 
 
 def unimodular_completion(V) -> np.ndarray:
     """Columns extending the primitive n x m matrix V to a unimodular n x n
-    matrix; returns the n x (n-m) block of new columns."""
+    matrix; returns the n x (n-m) block of new columns.
+
+    With U V = [T; 0], (V | U^{-1}[:, m:]) = U^{-1} diag(T, I), whose
+    determinant is +-1.
+    """
     V = as_int_matrix(V)
     n, m = V.shape
-    if m == 0:
-        return np.eye(n, dtype=np.int64)
-    if not is_primitive_columns(V):
+    reduced = _reduce(V.tolist(), m)
+    if reduced is None:
         raise SingularMatrix("columns do not span a primitive sublattice")
-    # reduce V to [T; 0] with unimodular row operations tracked in U
-    A = [[int(x) for x in row] for row in V]
-    U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def rowop(i, k, x, y, aa, bb):
-        for j in range(m):
-            u, v = A[i][j], A[k][j]
-            A[i][j] = x * u + y * v
-            A[k][j] = -bb * u + aa * v
-        for j in range(n):
-            u, v = U[i][j], U[k][j]
-            U[i][j] = x * u + y * v
-            U[k][j] = -bb * u + aa * v
-
-    for col in range(m):
-        # bring a nonzero entry to the diagonal position
-        piv = next((i for i in range(col, n) if A[i][col] != 0), None)
-        if piv is None:
-            raise SingularMatrix("columns are linearly dependent")
-        if piv != col:
-            A[col], A[piv] = A[piv], A[col]
-            U[col], U[piv] = U[piv], U[col]
-        for i in range(col + 1, n):
-            if A[i][col] == 0:
-                continue
-            a, b = A[col][col], A[i][col]
-            x, y, g = _xgcd(a, b)
-            rowop(col, i, x, y, a // g, b // g)
-    Uinv = unimodular_inverse(np.array(U, dtype=np.int64))
-    return Uinv[:, m:]
+    return _int64_matrix(_inverse(reduced[1]), n)[:, m:]

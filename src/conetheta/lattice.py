@@ -27,11 +27,14 @@ from .errors import (
     NotSymplectic,
     ShapeMismatch,
     SignatureMismatch,
+    SingularMatrix,
     ValidationError,
 )
 from .intmat import (
     as_int_matrix,
+    exact,
     is_primitive_columns,
+    to_int64,
     unimodular_completion,
     unimodular_inverse,
 )
@@ -53,21 +56,6 @@ def _is_positive_on(Q: np.ndarray, B: np.ndarray) -> bool:
     return _is_positive_definite(Bf.T @ Q @ Bf)
 
 
-_INT64 = np.iinfo(np.int64)
-
-
-def _exact(M: np.ndarray) -> np.ndarray:
-    """The integer matrix M over Python ints, so that products cannot wrap."""
-    return M.astype(object)
-
-
-def _to_int64(M: np.ndarray) -> np.ndarray:
-    """An exact integer matrix as int64; ValidationError if an entry does not fit."""
-    if any(not (_INT64.min <= x <= _INT64.max) for x in M.flat):
-        raise ValidationError("integer matrix entry beyond the int64 range")
-    return M.astype(np.int64)
-
-
 @dataclass(frozen=True)
 class SplitBasis:
     """Basis {N_1..N_n, M_1..M_n} with tN @ M = I and splitting index k."""
@@ -86,7 +74,7 @@ class SplitBasis:
             raise ShapeMismatch("N and M must be square of equal size")
         if not (0 <= self.k <= n):
             raise ShapeMismatch("index k out of range")
-        if not np.array_equal(N.T @ M, np.eye(n, dtype=np.int64)):
+        if not np.array_equal(exact(N).T @ exact(M), np.eye(n, dtype=np.int64)):
             raise ShapeMismatch("tN @ M != I")
 
     @property
@@ -155,7 +143,7 @@ class ModularElement:
         return cls(eye, zero, zero.copy(), eye.copy())
 
     def __matmul__(self, other: "ModularElement") -> "ModularElement":
-        return ModularElement.from_matrix(_to_int64(_exact(self.matrix()) @ _exact(other.matrix())))
+        return ModularElement.from_matrix(to_int64(exact(self.matrix()) @ exact(other.matrix())))
 
     def inverse(self) -> "ModularElement":
         # symplectic inverse: (tD, -tB; -tC, tA)
@@ -167,7 +155,7 @@ class ModularElement:
 
 def is_symplectic(g: ModularElement) -> bool:
     """Exact check of the three block relations defining Sp(2n, Z)."""
-    A, B, C, D = (_exact(X) for X in (g.A, g.B, g.C, g.D))
+    A, B, C, D = (exact(X) for X in (g.A, g.B, g.C, g.D))
     eye = np.eye(g.n, dtype=np.int64)
     return (
         np.array_equal(A.T @ C, C.T @ A)
@@ -180,20 +168,18 @@ def is_gamma12(g: ModularElement) -> bool:
     """Theta-subgroup membership: diag(tA C) and diag(tB D) both even."""
     if not is_symplectic(g):
         raise NotSymplectic("element is not symplectic")
-    d1 = np.diag(_exact(g.A).T @ _exact(g.C))
-    d2 = np.diag(_exact(g.B).T @ _exact(g.D))
+    d1 = np.diag(exact(g.A).T @ exact(g.C))
+    d2 = np.diag(exact(g.B).T @ exact(g.D))
     return bool(np.all(d1 % 2 == 0) and np.all(d2 % 2 == 0))
 
 
 @dataclass(frozen=True)
 class ConeSpec:
     """Shifted sublattice cone: points shift + sum_i c_i * gen_i.  The
-    sums pick their own truncation radius and pass it to enumerate_cone;
-    ``radius`` is not read by them."""
+    sums pick their own truncation radius and pass it to enumerate_cone."""
 
     generators: np.ndarray  # n x m integer, primitive independent columns
     shift: tuple  # rational n-vector (Fractions)
-    radius: float
 
     def __post_init__(self):
         G = as_int_matrix(self.generators)
@@ -204,8 +190,6 @@ class ConeSpec:
         if len(shift) != G.shape[0]:
             raise ShapeMismatch("shift length does not match ambient dimension")
         object.__setattr__(self, "shift", shift)
-        if self.radius < 0:
-            raise ShapeMismatch("radius must be nonnegative")
         if G.shape[1]:
             if np.linalg.matrix_rank(G) != G.shape[1]:
                 raise ShapeMismatch("generators are linearly dependent")
@@ -234,8 +218,8 @@ class ConeSpec:
         return new
 
     @classmethod
-    def full_lattice(cls, n: int, radius: float = 0.0) -> "ConeSpec":
-        return cls(np.eye(n, dtype=np.int64), (0,) * n, radius)
+    def full_lattice(cls, n: int) -> "ConeSpec":
+        return cls(np.eye(n, dtype=np.int64), (0,) * n)
 
 
 def is_split_basis(basis: SplitBasis, Q, k: int) -> bool:
@@ -275,8 +259,9 @@ def find_split_basis(Q, k: int, bound: int = 3) -> SplitBasis:
     A split basis has Q negative definite on N_1..N_k and positive definite
     on N_{k+1}..N_n (see is_split_basis); M = tN^{-1} is derived from N.
     Strategy: take n-k candidate positive columns V from short vectors
-    (ordered by norm), complete them to a unimodular matrix (C | V), then
-    add integer multiples of V to C until Q is negative definite on C.
+    (ordered by norm), complete them to a unimodular matrix (C | V) when
+    they span a primitive sublattice, then add integer multiples of V to C
+    until Q is negative definite on C.
     Failure raises NotFound; the search being exhaustive up to the bound,
     this is evidence but not proof of nonexistence.  A bound whose window
     has more than MAX_SPLIT_WINDOW vectors is a ValidationError.
@@ -300,11 +285,12 @@ def find_split_basis(Q, k: int, bound: int = 3) -> SplitBasis:
     positives = shorts[form_values(shorts, Q) > 0]
     for idxs in itertools.islice(itertools.combinations(range(len(positives)), m), 200000):
         V = positives[list(idxs)].T
-        if np.linalg.matrix_rank(V) != m or not _is_positive_on(Q, V):
+        if not _is_positive_on(Q, V):  # so V has independent columns
             continue
-        if not is_primitive_columns(V):
+        try:
+            Cbase = unimodular_completion(V)
+        except SingularMatrix:  # V is not primitive
             continue
-        Cbase = unimodular_completion(V)
         # C + V @ X is a column operation on (C | V), so |det| stays 1
         for flat in itertools.product(range(-bound, bound + 1), repeat=k * m):
             C = Cbase + V @ np.array(flat, dtype=np.int64).reshape(m, k)
@@ -367,7 +353,7 @@ class ConeForm:
         if m and np.all(np.isfinite(self.c_star)):
             t = [int(c) for c in np.trunc(self.c_star)]
             if any(t):
-                moved = cone.with_extra_shift(_exact(cone.generators) @ np.array(t, dtype=object))
+                moved = cone.with_extra_shift(exact(cone.generators) @ np.array(t, dtype=object))
                 self._place(moved.shift_float(), A)
         if not (math.isfinite(self.q_min) and math.isfinite(self.t_s)):
             raise ValidationError("cone shift too large: its norm under the form is not finite")
@@ -481,16 +467,19 @@ def transform_basis(g: ModularElement, basis: SplitBasis) -> tuple[np.ndarray, n
     first n columns are the transformed N-vectors and last n the transformed
     M-vectors (in reference coordinates; the result need not respect the
     splitting), and S is the change-of-basis element of Sp(2n, Z) relating
-    the two resolutions, S = (NM)^{-1} tg (NM).
+    the two resolutions, S = P^{-1} tg P with P = diag(N, M).
+
+    In blocks, tg^{-1} = (D, -C; -B, A), and P^{-1} = diag(tM, tN) because
+    tN M = I.  Both products are exact; an entry beyond int64 is a
+    ValidationError.
     """
     if not is_gamma12(g):
         raise NotGamma12("element is not in the theta subgroup")
-    P = basis.columns_2n()
-    gt_inv = g.inverse().matrix().T
-    columns = gt_inv @ P
-    Pinv = unimodular_inverse(P)
-    S = Pinv @ g.matrix().T @ P
-    return columns.astype(np.int64), S.astype(np.int64)
+    A, B, C, D = (exact(X) for X in (g.A, g.B, g.C, g.D))
+    N, M = exact(basis.N), exact(basis.M)
+    columns = np.block([[D @ N, -C @ M], [-B @ N, A @ M]])
+    S = np.block([[M.T @ A.T @ N, M.T @ C.T @ M], [N.T @ B.T @ N, N.T @ D.T @ M]])
+    return to_int64(columns), to_int64(S)
 
 
 # ---------------------------------------------------------------------------

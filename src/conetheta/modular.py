@@ -320,7 +320,7 @@ def determine_zeta(g: ModularElement, omega, probe=None) -> tuple[complex, float
         # compare the transformed cone sum against the plain one
         k, _ = signature(omega.imag)
         basis = find_split_basis(omega.imag, k)
-        cone = ConeSpec(basis.positive_generators(), (0,) * n, 0.0)
+        cone = ConeSpec(basis.positive_generators(), (0,) * n)
         plain = ConeSum(cone, DEFAULT_TOL)
         if probe is None:
             probe = sample_points(n, 5)

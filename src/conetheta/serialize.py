@@ -208,7 +208,7 @@ def parse_instance(payload: dict) -> ProblemInstance:
             raise ValidationError("malformed cone payload") from exc
         if any(abs(x) >= _MAX_EXACT_SHIFT for x in shift):
             raise ValidationError("cone shift entries must be below 2**53 in magnitude")
-        inst.cone = ConeSpec(gens, shift, float(rec.get("radius", 0.0)))
+        inst.cone = ConeSpec(gens, shift)
     if "tolerances" in payload and payload["tolerances"] is not None:
         rec = payload["tolerances"]
         if not isinstance(rec, dict):

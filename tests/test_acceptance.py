@@ -104,7 +104,7 @@ def test_criterion_03_heat_suite():
     ok = ok and worst < 1e-14
     # the inversion image at n = 1 is annihilated as well
     g = ModularElement(np.array([[0]]), np.array([[-1]]), np.array([[1]]), np.array([[0]]))
-    point = ConeSpec(np.zeros((1, 0), dtype=np.int64), (0,), 0.0)
+    point = ConeSpec(np.zeros((1, 0), dtype=np.int64), (0,))
     fam = ModularImage(ConeSum(point, 1e-13), g, 1.0)
     r_inv = heat_fd_residual(fam, np.array([[-1j]]), np.array([0.2 + 0.1j]), 1, 1, eps=1e-4)
     ok = ok and r_inv < 1e-6

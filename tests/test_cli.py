@@ -99,6 +99,29 @@ def test_instance_integer_beyond_int64(tmp_path, field):
     assert main(["eval", "--instance", inst]) == 2
 
 
+def test_verify_rejects_basis_dual_only_modulo_int64(tmp_path):
+    # 3 * -6148914691236517205 = 1 - 2**64, which int64 wraps to 1: tN @ M
+    # would read I, although det N = 3
+    payload = {
+        "n": 2,
+        "k": 1,
+        "omega": cm(np.diag([-1j, 2j])),
+        "basis": {"n": 2, "k": 1, "N": [[3, 0], [0, 1]], "M": [[-6148914691236517205, 0], [0, 1]]},
+    }
+    inst = write(tmp_path, "i.json", payload)
+    assert main(["verify", "--instance", inst, "--suite", "cocycle"]) == 2
+
+
+@pytest.mark.parametrize("radius", ["abc", None])
+def test_cone_radius_key_is_ignored(tmp_path, capsys, radius):
+    payload = {"n": 1, "k": 0, "omega": cm([[1j]]), "cone": {"generators": [[1]], "shift": ["1/3"]}}
+    assert main(["eval", "--instance", write(tmp_path, "a.json", payload), "--z", "0,0"]) == 0
+    plain = capsys.readouterr().out
+    payload["cone"]["radius"] = radius
+    assert main(["eval", "--instance", write(tmp_path, "b.json", payload), "--z", "0,0"]) == 0
+    assert capsys.readouterr().out == plain
+
+
 _OMEGA1 = cm([[1j]])
 
 

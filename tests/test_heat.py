@@ -63,7 +63,7 @@ def test_fd_classical():
 
 def test_fd_indefinite_diagonal():
     om = np.diag([-1j, 1j])
-    fam = ConeSum(ConeSpec(np.array([[0], [1]]), (0, 0), 0.0), 1e-13)
+    fam = ConeSum(ConeSpec(np.array([[0], [1]]), (0, 0)), 1e-13)
     r = heat_fd_residual(fam, om, np.array([0.1 + 0j, 0.2 + 0j]), 2, 2, eps=1e-4)
     assert r < 1e-6
 
@@ -98,7 +98,7 @@ def test_fd_transformed_case2():
     om = np.diag([-1j, 1j])
     B = np.array([[2, 1], [1, 0]])
     g = ModularElement(np.eye(2, dtype=int), B, np.zeros((2, 2), dtype=int), np.eye(2, dtype=int))
-    fam = ModularImage(ConeSum(ConeSpec(np.array([[0], [1]]), (0, 0), 0.0), 1e-13), g, 1.0)
+    fam = ModularImage(ConeSum(ConeSpec(np.array([[0], [1]]), (0, 0)), 1e-13), g, 1.0)
     Z = np.array([0.2 + 0.05j, 0.1 + 0j])
     for i, j in [(1, 1), (1, 2), (2, 2)]:
         assert heat_fd_residual(fam, om, Z, i, j, eps=1e-4) < 1e-6
@@ -106,7 +106,7 @@ def test_fd_transformed_case2():
 
 def test_fd_transformed_inversion_1d():
     g = ModularElement(np.array([[0]]), np.array([[-1]]), np.array([[1]]), np.array([[0]]))
-    point = ConeSpec(np.zeros((1, 0), dtype=np.int64), (0,), 0.0)
+    point = ConeSpec(np.zeros((1, 0), dtype=np.int64), (0,))
     fam = ModularImage(ConeSum(point, 1e-13), g, 1.0)
     assert heat_fd_residual(fam, np.array([[-1j]]), np.array([0.2 + 0.1j]), 1, 1, eps=1e-4) < 1e-6
 

@@ -1,0 +1,71 @@
+import itertools
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conetheta.errors import SingularMatrix
+from conetheta.intmat import int_det, is_primitive_columns, unimodular_completion, unimodular_inverse
+
+
+@st.composite
+def _matrices(draw, square=False):
+    """An n x m integer matrix, n <= 6 and m from 0 to n + 1 (m = n when
+    square): entries in [-3, 3], or the columns of a unimodular matrix built
+    by column moves; sometimes the last column is forced to depend on the
+    others."""
+    n = draw(st.integers(1, 6))
+    m = n if square else draw(st.integers(0, n + 1))
+    if m <= n and draw(st.booleans()):
+        U = np.eye(n, dtype=np.int64)
+        moves = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-3, 3))
+        for i, j, c in draw(st.lists(moves, max_size=3 * n)):
+            if i != j:
+                U[:, i] += c * U[:, j]
+        V = U[:, list(draw(st.permutations(range(n))))[:m]]
+    else:
+        entries = draw(st.lists(st.integers(-3, 3), min_size=n * m, max_size=n * m))
+        V = np.array(entries, dtype=np.int64).reshape(n, m)
+    if m >= 2 and draw(st.booleans()):
+        coef = np.array(draw(st.lists(st.integers(-2, 2), min_size=m - 1, max_size=m - 1)))
+        V[:, -1] = V[:, :-1] @ coef
+    return V
+
+
+def _primitive_reference(V):
+    """Rank m and gcd 1 of the m x m minors."""
+    n, m = V.shape
+    minors = [int_det(V[list(rows)]) for rows in itertools.combinations(range(n), m)]
+    return np.linalg.matrix_rank(V) == m and math.gcd(*minors) == 1
+
+
+@settings(max_examples=400, deadline=None)
+@given(_matrices())
+def test_is_primitive_columns_matches_minor_gcd(V):
+    assert is_primitive_columns(V) == _primitive_reference(V)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrices(square=True))
+def test_unimodular_inverse_is_exact(A):
+    n = A.shape[0]
+    if abs(int_det(A)) == 1:
+        X = unimodular_inverse(A)
+        assert (X.astype(object) @ A.astype(object)).tolist() == np.eye(n, dtype=int).tolist()
+    else:
+        with pytest.raises(SingularMatrix):
+            unimodular_inverse(A)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrices())
+def test_unimodular_completion_is_unimodular(V):
+    n, m = V.shape
+    if not _primitive_reference(V):
+        with pytest.raises(SingularMatrix):
+            unimodular_completion(V)
+        return
+    C = unimodular_completion(V)
+    assert C.shape == (n, n - m)
+    assert abs(int_det(np.column_stack([V, C]))) == 1

@@ -223,18 +223,18 @@ def test_split_basis_unimodular_invariant():
 
 
 def test_enumerate_cone_interval():
-    pts = enumerate_cone(ConeForm(ConeSpec(np.array([[1]]), (0,), 2.0), np.array([[1.0]])), 2.0)
+    pts = enumerate_cone(ConeForm(ConeSpec(np.array([[1]]), (0,)), np.array([[1.0]])), 2.0)
     assert [int(p[0]) for p in pts] == [0, -1, 1, -2, 2]
 
 
 def test_enumerate_cone_rank_zero():
-    pts = enumerate_cone(ConeForm(ConeSpec(np.zeros((2, 0), dtype=np.int64), (0, 0), 1.0), np.eye(2)), 1.0)
+    pts = enumerate_cone(ConeForm(ConeSpec(np.zeros((2, 0), dtype=np.int64), (0, 0)), np.eye(2)), 1.0)
     assert len(pts) == 1 and np.allclose(pts[0], 0.0)
 
 
 def test_enumerate_cone_sublattice():
     pts = enumerate_cone(
-        ConeForm(ConeSpec(np.array([[0], [1]]), (0, 0), 3.0), np.diag([-1.0, 2.0])), 3.0
+        ConeForm(ConeSpec(np.array([[0], [1]]), (0, 0)), np.diag([-1.0, 2.0])), 3.0
     )
     coords = [tuple(int(x) for x in p) for p in pts]
     assert coords == [(0, 0), (0, -1), (0, 1), (0, -2), (0, 2)]
@@ -242,29 +242,29 @@ def test_enumerate_cone_sublattice():
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 def test_cone_form_rejects_shift_with_infinite_norm():
-    cone = ConeSpec(np.array([[1]]), (10**200,), 0.0)
+    cone = ConeSpec(np.array([[1]]), (10**200,))
     with pytest.raises(ValidationError):
         ConeForm(cone, np.array([[1.0]]))
 
 
 def test_cone_form_moves_shift_by_lattice_vector():
     # c* = -(2**53 - 1): the shift moves by G trunc(c*) to exactly 0
-    form = ConeForm(ConeSpec(np.array([[1]]), (2**53 - 1,), 0.0), np.array([[1.0]]))
+    form = ConeForm(ConeSpec(np.array([[1]]), (2**53 - 1,)), np.array([[1.0]]))
     assert form.shift.tolist() == [0.0] and form.c_star.tolist() == [0.0] and form.t_s == 0.0
     # c* = (-1/2, 4/3) moves by G (0, 1) in exact rationals
-    cone = ConeSpec(np.array([[1, 0], [2, 1]]), (Fraction(1, 2), Fraction(-1, 3)), 0.0)
+    cone = ConeSpec(np.array([[1, 0], [2, 1]]), (Fraction(1, 2), Fraction(-1, 3)))
     assert ConeForm(cone, np.eye(2)).shift.tolist() == [0.5, float(Fraction(2, 3))]
 
 
 def test_cone_form_keeps_shift_with_small_minimiser():
-    cone = ConeSpec(np.array([[1], [1]]), (Fraction(-2, 3), Fraction(1, 7)), 0.0)
+    cone = ConeSpec(np.array([[1], [1]]), (Fraction(-2, 3), Fraction(1, 7)))
     form = ConeForm(cone, np.eye(2))
     assert abs(form.c_star[0]) < 1
     assert form.shift.tolist() == cone.shift_float().tolist()
 
 
 def test_enumerate_cone_prefix_property():
-    cone = ConeSpec(np.eye(2, dtype=np.int64), (0, 0), 0.0)
+    cone = ConeSpec(np.eye(2, dtype=np.int64), (0, 0))
     Q = np.array([[2.0, 0.5], [0.5, 1.0]])
     form = ConeForm(cone, Q)
     small = enumerate_cone(form, 2.5)
@@ -274,7 +274,7 @@ def test_enumerate_cone_prefix_property():
         assert np.array_equal(a, b)
 
 
-def _box_filter_cone(cone, Q):
+def _box_filter_cone(cone, Q, radius):
     """Reference enumeration: scan the coefficient box around the minimiser
     that bounds the ellipsoid, keep tK Q K <= radius**2 and sort by (norm,
     coordinates).  Points are scored with form_values, whose value for a row
@@ -288,7 +288,7 @@ def _box_filter_cone(cone, Q):
     b = G.T @ Q @ s
     c_star = np.linalg.solve(A, -b)
     q_min = float(s @ Q @ s + b @ c_star)
-    r2 = cone.radius**2
+    r2 = radius**2
     if r2 < q_min - 1e-12:
         return []
     half = np.sqrt(max(r2 - q_min, 0.0) / lam) + 1e-9
@@ -316,15 +316,15 @@ def _random_cones(draw):
     fractions = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 6))
     shift = draw(st.lists(fractions, min_size=n, max_size=n))
     radius = draw(st.floats(0.5, 4.0))
-    return ConeSpec(gens, tuple(shift), radius), Q
+    return ConeSpec(gens, tuple(shift)), Q, radius
 
 
 @settings(max_examples=100, deadline=None)
 @given(_random_cones())
 def test_enumerate_cone_matches_box_filter(case):
-    cone, Q = case
-    got = [tuple(k) for k in enumerate_cone(ConeForm(cone, Q), cone.radius)]
-    assert got == _box_filter_cone(cone, Q)
+    cone, Q, radius = case
+    got = [tuple(k) for k in enumerate_cone(ConeForm(cone, Q), radius)]
+    assert got == _box_filter_cone(cone, Q, radius)
 
 
 def _wedge_multiset_oracle(basis, idx, R):
@@ -436,6 +436,32 @@ def test_transform_basis_composition():
             _, S_g = transform_basis(g, basis)
             assert np.array_equal(S_gh, S_h @ S_g)
             assert is_symplectic(ModularElement.from_matrix(S_gh))
+
+
+def test_transform_basis_beyond_int64_raises():
+    # g = (I, B; 0, I) is in the theta subgroup and tN M = I, but the
+    # transformed N-column -B N_2 has the entry -2**64, which int64 wraps to 0
+    t = 2**32
+    basis = SplitBasis(np.array([[1, t], [0, 1]]), np.array([[1, 0], [-t, 1]]), 1)
+    eye, zero = np.eye(2, dtype=np.int64), np.zeros((2, 2), dtype=np.int64)
+    g = ModularElement(eye, np.array([[0, t], [t, 0]]), zero, eye)
+    assert is_gamma12(g)
+    with pytest.raises(ValidationError):
+        transform_basis(g, basis)
+
+
+def test_transform_basis_matches_object_arithmetic():
+    # columns = tg^{-1} P and P S = tg P over Python ints, P = diag(N, M)
+    rng = SplitMix64(11)
+    N = np.array([[1, 2, 0], [0, 1, -1], [1, 0, 1]])
+    basis = SplitBasis(N, unimodular_inverse(N).T, 1)
+    P = basis.columns_2n().astype(object)
+    for _ in range(20):
+        g = random_gamma12(3, rng, 4)
+        cols, S = transform_basis(g, basis)
+        assert cols.dtype == S.dtype == np.int64
+        assert cols.tolist() == (g.inverse().matrix().T.astype(object) @ P).tolist()
+        assert (P @ S.astype(object)).tolist() == (g.matrix().T.astype(object) @ P).tolist()
 
 
 def test_random_gamma12_members():

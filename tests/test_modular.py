@@ -82,7 +82,7 @@ def test_modular_apply_identity():
 
 
 def test_modular_apply_case2_fixes_cocycle():
-    cone = ConeSpec(np.array([[0], [1]]), (0, 0), 0.0)
+    cone = ConeSpec(np.array([[0], [1]]), (0, 0))
     ev = Evaluator(ConeSum(cone, 1e-12), OM2)
     B = np.array([[2, 1], [1, 0]])
     g = _g(np.eye(2, dtype=int), B, np.zeros((2, 2), dtype=int), np.eye(2, dtype=int))
@@ -121,7 +121,7 @@ def test_modular_apply_composition_ratio():
 
 def test_modular_apply_composition_ratio_n2():
     # same constancy property with an indefinite two-dimensional form
-    fam = ConeSum(ConeSpec(np.array([[0], [1]]), (0, 0), 0.0), 1e-13)
+    fam = ConeSum(ConeSpec(np.array([[0], [1]]), (0, 0)), 1e-13)
     zero = np.zeros((2, 2), dtype=int)
     eye = np.eye(2, dtype=int)
     J2 = _g(zero, -eye, eye, zero)

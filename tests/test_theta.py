@@ -65,13 +65,13 @@ def test_cone_sum_classical_value():
 
 
 def test_cone_sum_point_cone():
-    tv = cone_sum(Z0, np.array([[-1j]]), ConeSpec(np.zeros((1, 0), dtype=np.int64), (0,), 0.0))
+    tv = cone_sum(Z0, np.array([[-1j]]), ConeSpec(np.zeros((1, 0), dtype=np.int64), (0,)))
     assert tv.value == 1.0 and tv.tail == 0.0
 
 
 def test_cone_sum_reduces_to_one_dimension():
     om = np.diag([-1j, 1j])
-    tv = cone_sum(np.zeros(2, complex), om, ConeSpec(np.array([[0], [1]]), (0, 0), 0.0))
+    tv = cone_sum(np.zeros(2, complex), om, ConeSpec(np.array([[0], [1]]), (0, 0)))
     assert abs(tv.value - math.pi**0.25 / math.gamma(0.75)) < 1e-9
 
 
@@ -93,7 +93,7 @@ def test_cone_sum_matches_brute_at_random_points():
 
 
 def test_tail_bound_rank_zero():
-    point = ConeSpec(np.zeros((1, 0), dtype=np.int64), (0,), 0.0)
+    point = ConeSpec(np.zeros((1, 0), dtype=np.int64), (0,))
     assert tail_bound(ConeForm(point, OM1.imag), Z0, 3.0) == 0.0
 
 
@@ -113,7 +113,7 @@ def test_tail_bound_monotone():
 def test_cone_sum_factors_the_cone_once(monkeypatch):
     # one eigvalsh and one Cholesky per sum, and the cone, validated when
     # it was built, is not validated again (also not by with_extra_shift)
-    cone = ConeSpec(np.array([[1, 0], [1, 1], [0, 1]]), (0, Fraction(1, 3), 0), 0.0)
+    cone = ConeSpec(np.array([[1, 0], [1, 1], [0, 1]]), (0, Fraction(1, 3), 0))
     omega = np.array([[0.1 + 1.0j, 0.2j, 0.0], [0.2j, 1.5j, 0.1j], [0.0, 0.1j, 0.3 + 2.0j]])
     Z = np.array([0.1 + 0.2j, -0.3 + 0.1j, 0.2 - 0.25j])
     counts = defaultdict(int)
@@ -146,7 +146,7 @@ def test_tail_is_true_bound():
     # |reference at radius 2r - truncated at r| <= tail(r)
     for om, cone, Z in [
         (OM1, FULL1, np.array([0.2 + 0.1j])),
-        (np.diag([-1j, 1j]), ConeSpec(np.array([[0], [1]]), (0, 0), 0.0), np.array([0.1, 0.2 - 0.2j])),
+        (np.diag([-1j, 1j]), ConeSpec(np.array([[0], [1]]), (0, 0)), np.array([0.1, 0.2 - 0.2j])),
     ]:
         form = ConeForm(cone, om.imag)
         for r in (4.0, 6.0):
@@ -219,10 +219,10 @@ def test_lambda_action_shifts_cone():
     # direction inside the positive cone (shift absorbed) and for the
     # negative-cone direction (a genuinely different point set)
     om = np.diag([-1j, 1j])
-    cone = ConeSpec(np.array([[0], [1]]), (0, 0), 0.0)
+    cone = ConeSpec(np.array([[0], [1]]), (0, 0))
     ev = Evaluator(ConeSum(cone, 1e-12), om)
     for direction in ((0, 1), (1, 0)):
-        shifted = ConeSpec(np.array([[0], [1]]), direction, 0.0)
+        shifted = ConeSpec(np.array([[0], [1]]), direction)
         ev_shift = Evaluator(ConeSum(shifted, 1e-12), om)
         acted = lambda_action((0, 0), direction, ev, om)
         for Z in sample_points(2, 5):
@@ -231,7 +231,7 @@ def test_lambda_action_shifts_cone():
 
 def test_lambda_action_composition():
     om = np.diag([-1j, 1j])
-    cone = ConeSpec(np.array([[0], [1]]), (0, 0), 0.0)
+    cone = ConeSpec(np.array([[0], [1]]), (0, 0))
     ev = Evaluator(ConeSum(cone, 1e-12), om)
     rng = SplitMix64(55)
     for _ in range(10):
@@ -278,8 +278,8 @@ def test_wedge_function_matches_oracle():
 def test_wedge_shear_identity():
     # (shear-direction action - 1) f = plain cone sum - sheared cone sum
     f = wedge_function(WBASIS, WOM, tol=1e-12)
-    plain = Evaluator(ConeSum(ConeSpec(np.array([[0], [1]]), (0, 0), 0.0), 1e-12), WOM)
-    sheared = Evaluator(ConeSum(ConeSpec(np.array([[-1], [1]]), (0, 0), 0.0), 1e-12), WOM)
+    plain = Evaluator(ConeSum(ConeSpec(np.array([[0], [1]]), (0, 0)), 1e-12), WOM)
+    sheared = Evaluator(ConeSum(ConeSpec(np.array([[-1], [1]]), (0, 0)), 1e-12), WOM)
     for Z in sample_points(2, 5):
         lhs = lambda_action((0, 0), (1, 0), f, WOM)(Z).value - f(Z).value
         rhs = plain(Z).value - sheared(Z).value
@@ -288,7 +288,7 @@ def test_wedge_shear_identity():
 
 def test_wedge_next_identity():
     f = wedge_function(WBASIS, WOM, tol=1e-12)
-    sheared = Evaluator(ConeSum(ConeSpec(np.array([[-1], [1]]), (0, 0), 0.0), 1e-12), WOM)
+    sheared = Evaluator(ConeSum(ConeSpec(np.array([[-1], [1]]), (0, 0)), 1e-12), WOM)
     for Z in sample_points(2, 5):
         lhs = lambda_action((0, 0), (0, 1), f, WOM)(Z).value - f(Z).value
         assert abs(lhs + sheared(Z).value) < 1e-8
@@ -306,7 +306,7 @@ def test_verify_cocycle_classical():
 
 def test_verify_cocycle_point_cone_exact():
     om = np.array([[-1j]])
-    ev = Evaluator(ConeSum(ConeSpec(np.zeros((1, 0), dtype=np.int64), (0,), 0.0), 1e-12), om)
+    ev = Evaluator(ConeSum(ConeSpec(np.zeros((1, 0), dtype=np.int64), (0,)), 1e-12), om)
     res = verify_cocycle(ev, SplitBasis.identity(1, 1), om)
     assert set(res) == {"M_1"}
     assert res["M_1"] < 1e-12
@@ -314,7 +314,7 @@ def test_verify_cocycle_point_cone_exact():
 
 def test_verify_cocycle_indefinite():
     om = np.diag([-1j, 1j])
-    ev = Evaluator(ConeSum(ConeSpec(np.array([[0], [1]]), (0, 0), 0.0), 1e-12), om)
+    ev = Evaluator(ConeSum(ConeSpec(np.array([[0], [1]]), (0, 0)), 1e-12), om)
     res = verify_cocycle(ev, SplitBasis.identity(2, 1), om)
     assert set(res) == {"N_2", "M_1", "M_2"}
     assert all(r < 1e-8 for r in res.values())
@@ -323,7 +323,7 @@ def test_verify_cocycle_indefinite():
 def test_verify_cocycle_twisted_characteristic():
     om = np.diag([-1j, 1j])
     char = Characteristic((0, Fraction(1, 2)), (1, 2))
-    cone = ConeSpec(np.array([[0], [1]]), (0, 0), 0.0).with_extra_shift(char.a)
+    cone = ConeSpec(np.array([[0], [1]]), (0, 0)).with_extra_shift(char.a)
     ev = Evaluator(ConeSum(cone, 1e-12), om)
     res = verify_cocycle(ev, SplitBasis.identity(2, 1), om, delta=char.delta)
     assert all(r < 1e-8 for r in res.values())
@@ -383,7 +383,7 @@ ORACLE_CASES = [
     (np.array([[0.3 + 1.1j]]), FULL1, None, np.array([0.2 + 0.1j])),
     (
         np.array([[0.1 - 1.0j, 0.3], [0.3, 0.2 + 2.0j]]),
-        ConeSpec(np.array([[0], [1]]), (0, 0), 0.0),
+        ConeSpec(np.array([[0], [1]]), (0, 0)),
         None,
         np.array([0.1 + 0.2j, -0.3 + 0.1j]),
     ),
@@ -401,7 +401,7 @@ ORACLE_CASES = [
     ),
     (
         np.array([[0.1 - 1.0j, 0.2j, 0.1], [0.2j, 1.5j, 0.3j], [0.1, 0.3j, 0.2 + 1.0j]]),
-        ConeSpec(np.array([[0, 0], [1, 0], [0, 1]]), (0, 0, 0), 0.0),
+        ConeSpec(np.array([[0, 0], [1, 0], [0, 1]]), (0, 0, 0)),
         Characteristic((0, Fraction(1, 2), Fraction(1, 2)), (1, 2, 2)),
         np.array([0.05 + 0.1j, -0.25 - 0.3j, 0.35 + 0.2j]),
     ),
@@ -446,7 +446,7 @@ def _radius_cases(draw):
     im = draw(st.lists(st.floats(-0.3, 0.3), min_size=n, max_size=n))
     Z = np.array(re) + 1j * np.array(im)
     tol = 10.0 ** draw(st.floats(-14.0, -6.0))
-    return ConeSpec(gens, tuple(shift), 0.0), omega, Z, tol
+    return ConeSpec(gens, tuple(shift)), omega, Z, tol
 
 
 #: largest coefficient box the reference scans (a few cones with a small
