@@ -162,14 +162,14 @@ def suite_cocycle(inst: ProblemInstance) -> VerificationReport:
     tol = inst.tol("identity", TOL_IDENTITY)
     basis, cone = _positive_cone(inst)
     c = Evaluator(ConeSum(cone, inst.tol("sum", TOL_SUM) * 1e-2), inst.omega)
-    res = verify_cocycle(c, basis, inst.omega, seed=inst.seed)
+    res = verify_cocycle(c, basis.columns_2n(), basis.k, seed=inst.seed)
     for name, r in res.items():
         rep.add("c:%s" % name, r, tol)
     if inst.g is not None and not np.any(inst.g.C):
         zeta, _ = determine_zeta(inst.g, inst.omega)
-        cg = modular_apply(inst.g, c, inst.omega, zeta)
+        cg = modular_apply(inst.g, c, zeta)
         cols, _ = transform_basis(inst.g, basis)
-        resg = verify_cocycle(cg, cols, inst.omega, k=inst.k, seed=inst.seed)
+        resg = verify_cocycle(cg, cols, inst.k, seed=inst.seed)
         for name, r in resg.items():
             rep.add("c^g:%s" % name, r, tol)
     return rep
@@ -292,13 +292,13 @@ def suite_modular_case2(inst: ProblemInstance) -> VerificationReport:
     rep.add("zeta_fit_residual", fit_resid, inst.tol("identity", TOL_IDENTITY))
     basis, cone = _positive_cone(inst)
     c = Evaluator(ConeSum(cone, 1e-12), inst.omega)
-    cg = modular_apply(g, c, inst.omega, zeta)
+    cg = modular_apply(g, c, zeta)
     worst = 0.0
     for Z in sample_points(inst.n, 5, inst.seed):
         worst = max(worst, abs(c(Z).value - cg(Z).value))
     rep.add("pointwise_equality", worst, inst.tol("case2", 1e-9))
     cols, _ = transform_basis(g, basis)
-    resg = verify_cocycle(cg, cols, inst.omega, k=inst.k, seed=inst.seed)
+    resg = verify_cocycle(cg, cols, inst.k, seed=inst.seed)
     for name, r in resg.items():
         rep.add("c^g:%s" % name, r, inst.tol("identity", TOL_IDENTITY))
     return rep
@@ -312,7 +312,7 @@ def suite_modular_case3_1d(inst: ProblemInstance) -> VerificationReport:
     if tau.imag >= 0:
         raise ValidationError("suite requires Im(omega) < 0")
     tol = inst.tol("identity", TOL_IDENTITY)
-    out = verify_case3_1d(None, tau, tol)
+    out = verify_case3_1d(tau, tol)
     rep.add("translation_identity_max", out["translation_max"], tol)
     rep.add("period_identity_max", out["period_max"], tol)
     rep.add("zeta_constancy", out["zeta_spread"], tol)
@@ -338,9 +338,9 @@ def suite_wedge(inst: ProblemInstance) -> VerificationReport:
     worst1 = worst2 = 0.0
     for Z in sample_points(inst.n, 5, inst.seed):
         base = f(Z).value
-        lhs1 = lambda_action((0,) * inst.n, shear, f, inst.omega)(Z).value - base
+        lhs1 = lambda_action((0,) * inst.n, shear, f)(Z).value - base
         worst1 = max(worst1, abs(lhs1 - (e_plain(Z).value - e_trans(Z).value)))
-        lhs2 = lambda_action((0,) * inst.n, after, f, inst.omega)(Z).value - base
+        lhs2 = lambda_action((0,) * inst.n, after, f)(Z).value - base
         worst2 = max(worst2, abs(lhs2 + e_trans(Z).value))
     rep.add("shear_direction_identity", worst1, tol)
     rep.add("next_direction_identity", worst2, tol)
@@ -457,9 +457,7 @@ def suite_characteristics(inst: ProblemInstance) -> VerificationReport:
     basis, cone = _positive_cone(inst)
     shifted = cone.with_extra_shift(char.a)
     c = Evaluator(ConeSum(shifted, 1e-12), inst.omega)
-    res = verify_cocycle(
-        c, basis, inst.omega, delta=char.delta, seed=inst.seed
-    )
+    res = verify_cocycle(c, basis.columns_2n(), basis.k, delta=char.delta, seed=inst.seed)
     for name, r in res.items():
         rep.add("twisted:%s" % name, r, tol)
     # integral shift is absorbed by the cone

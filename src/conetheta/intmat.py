@@ -30,6 +30,12 @@ def as_int_matrix(M) -> np.ndarray:
     A = np.asarray(M)
     if A.ndim != 2:
         raise ShapeMismatch("expected a matrix, got ndim=%d" % A.ndim)
+    if A.dtype.kind in "uO":
+        # an entry beyond int64 makes the array unsigned or an object array
+        # of Python ints; range-check it instead of letting astype wrap
+        if not all(isinstance(x, (int, np.integer)) for x in A.flat):
+            raise ShapeMismatch("matrix entries are not integers")
+        return to_int64(A)
     if not np.issubdtype(A.dtype, np.integer):
         B = np.rint(A).astype(np.int64)
         if not np.array_equal(B, A):

@@ -146,8 +146,9 @@ class ModularElement:
         return ModularElement.from_matrix(to_int64(exact(self.matrix()) @ exact(other.matrix())))
 
     def inverse(self) -> "ModularElement":
-        # symplectic inverse: (tD, -tB; -tC, tA)
-        return ModularElement(self.D.T, -self.B.T, -self.C.T, self.A.T)
+        # symplectic inverse: (tD, -tB; -tC, tA); -(-2**63) does not fit int64
+        B, C = (to_int64(-exact(X.T)) for X in (self.B, self.C))
+        return ModularElement(self.D.T, B, C, self.A.T)
 
     def is_identity(self) -> bool:
         return np.array_equal(self.matrix(), np.eye(2 * self.n, dtype=np.int64))

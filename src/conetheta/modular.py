@@ -20,12 +20,10 @@ from numpy.polynomial.legendre import leggauss
 from .errors import (
     AmbiguousZeta,
     NonconvergentContour,
-    ShapeMismatch,
-    SignatureMismatch,
     SingularDenominator,
     ValidationError,
 )
-from .lattice import ModularElement, find_split_basis
+from .lattice import ConeSpec, ModularElement, find_split_basis
 from .linalg import check_symmetric, principal_sqrt_det, signature
 from .theta import (
     ConeSum,
@@ -35,7 +33,6 @@ from .theta import (
     complex_fsum,
     sample_points,
 )
-from .lattice import ConeSpec
 
 EIGHTH_ROOTS = tuple(cmath.exp(1j * math.pi * j / 4) for j in range(8))
 
@@ -50,26 +47,6 @@ def omega_transform(g: ModularElement, omega) -> np.ndarray:
     num = g.D.T.astype(complex) @ omega - g.B.T.astype(complex)
     out = num @ np.linalg.inv(den)
     return (out + out.T) / 2
-
-
-@dataclass(frozen=True)
-class ModularTransformResult:
-    omega_g: np.ndarray
-    jacobian_factor: complex
-    zeta: complex | None
-
-
-def modular_transform(g: ModularElement, omega, zeta: complex | None = None) -> ModularTransformResult:
-    """omega_transform together with the principal-branch half determinant;
-    checks that the imaginary-part signature is preserved."""
-    omega = check_symmetric(omega)
-    og = omega_transform(g, omega)
-    if signature(og.imag) != signature(omega.imag):
-        raise SignatureMismatch("transform changed the signature of Im(omega)")
-    jac = principal_sqrt_det(g.C.astype(complex) @ og + g.D.astype(complex))
-    if zeta is not None and abs(abs(zeta) - 1.0) > 1e-9:
-        raise ValidationError("zeta must be a unit complex number")
-    return ModularTransformResult(og, jac, zeta)
 
 
 @dataclass(frozen=True)
@@ -99,14 +76,11 @@ class ModularImage(Family):
         return pref * v, abs(pref) * t
 
 
-def modular_apply(g: ModularElement, f: Evaluator, omega, zeta: complex) -> Evaluator:
-    """Evaluator of f^g over the same period matrix."""
-    omega = check_symmetric(omega)
-    if np.max(np.abs(omega - f.omega)) > 1e-12:
-        raise ShapeMismatch("evaluator is pinned to a different period matrix")
+def modular_apply(g: ModularElement, f: Evaluator, zeta: complex) -> Evaluator:
+    """Evaluator of f^g over the period matrix of f."""
     if abs(abs(zeta) - 1.0) > 1e-9:
         raise ValidationError("zeta must be a unit complex number")
-    return Evaluator(ModularImage(f.family, g, zeta), omega)
+    return Evaluator(ModularImage(f.family, g, zeta), f.omega)
 
 
 def theta_g_term(K, Z, omega, g: ModularElement, zeta: complex) -> complex:
@@ -192,24 +166,6 @@ def contour_f(z: complex, tau: complex, kpole: int, nshift: int, tol: float = 1e
         S *= 1.5
 
 
-@dataclass(frozen=True)
-class ContourFamily(Family):
-    """The contour coboundary as a 1-dimensional evaluator family; the
-    period matrix argument is the 1 x 1 matrix (tau)."""
-
-    kpole: int = 1
-    nshift: int = 0
-    tol: float = 1e-10
-
-    def value_tail(self, omega, Z):
-        omega = np.asarray(omega, dtype=complex)
-        Z = np.asarray(Z, dtype=complex)
-        if omega.shape not in ((1, 1),) or Z.size != 1:
-            raise ShapeMismatch("contour family is 1-dimensional")
-        v = contour_f(complex(Z.ravel()[0]), complex(omega[0, 0]), self.kpole, self.nshift, self.tol)
-        return v, self.tol
-
-
 def inversion_rhs(z: complex, tau: complex, nshift: int, zeta: complex) -> complex:
     """zeta tau^{-1/2} exp(-pi i (z+n)^2 / tau), principal branch."""
     return zeta * tau ** (-0.5) * cmath.exp(-1j * math.pi * (z + nshift) ** 2 / tau)
@@ -220,19 +176,8 @@ def shift_rhs(z: complex, tau: complex, kpole: int) -> complex:
     return cmath.exp(1j * math.pi * tau * kpole * kpole + 2j * math.pi * kpole * z)
 
 
-def _act_translation(fval, z, tau, kpole, nshift, tol):
-    """(unit translation - 1) f  =  f(z+1) - f(z)."""
-    return contour_f(z + 1, tau, kpole, nshift, tol) - fval
-
-
-def _act_period(fval, z, tau, kpole, nshift, tol):
-    """(period translation - 1) f = exp(pi i tau + 2 pi i z) f(z + tau) - f(z)."""
-    return cmath.exp(1j * math.pi * tau + 2j * math.pi * z) * contour_f(
-        z + tau, tau, kpole, nshift, tol
-    ) - fval
-
-
-DEFAULT_PROBES = (0.0, 0.3, 0.3 + 0.2j, -0.7, 0.1 - 0.1j)
+#: probe arguments of the n = 1 inversion identities
+_PROBES = (0j, 0.3 + 0j, 0.3 + 0.2j, -0.7 + 0j, 0.1 - 0.1j)
 
 
 def fit_eighth_root(ratios) -> tuple[complex, float]:
@@ -250,40 +195,49 @@ def fit_eighth_root(ratios) -> tuple[complex, float]:
     return best[1], best[0]
 
 
-def verify_case3_1d(z_probes, tau: complex, tol: float = 1e-8, kpole: int = 1, nshift: int = 0) -> dict:
+def _inversion_ratios(tau: complex, tol: float) -> list[tuple[complex, complex, complex]]:
+    """(z, f(z), ratio) at each probe z, where f is the contour coboundary
+    (pole 1, no shift) integrated to tol and ratio is the translation
+    difference f(z + 1) - f(z) over tau^{-1/2} exp(-pi i z^2 / tau); for
+    the inversion element every ratio is its multiplier zeta."""
+    out = []
+    for z in _PROBES:
+        fz = contour_f(z, tau, 1, 0, tol)
+        lhs = contour_f(z + 1, tau, 1, 0, tol) - fz
+        out.append((z, fz, lhs / inversion_rhs(z, tau, 0, 1.0)))
+    return out
+
+
+def verify_case3_1d(tau: complex, tol: float = 1e-8) -> dict:
     """Residual report for the two coboundary identities of the inversion
-    element at n = 1:
+    element at n = 1 (contour pole 1, no shift):
 
       * translation identity: (1-action - 1) f = zeta tau^{-1/2}
-        exp(-pi i (z+n)^2/tau), with a single fitted eighth root zeta;
-      * period identity: (tau-action - 1) f = -exp(pi i tau k^2 + 2 pi i k z).
+        exp(-pi i z^2/tau), with a single fitted eighth root zeta;
+      * period identity: (tau-action - 1) f = -exp(pi i tau + 2 pi i z).
 
     Returns {"zeta", "zeta_residual", "zeta_spread", "translation_max",
     "period_max", "pass"}.
     """
     if tau.imag >= 0:
         raise NonconvergentContour("Im(tau) must be negative")
-    if z_probes is None:
-        z_probes = DEFAULT_PROBES
     inner_tol = min(tol * 1e-2, 1e-10)
-    ratios = []
-    period_max = 0.0
-    for z in z_probes:
-        z = complex(z)
-        fz = contour_f(z, tau, kpole, nshift, inner_tol)
-        lhs_t = _act_translation(fz, z, tau, kpole, nshift, inner_tol)
-        ratios.append(lhs_t / inversion_rhs(z, tau, nshift, 1.0))
-        lhs_p = _act_period(fz, z, tau, kpole, nshift, inner_tol)
-        period_max = max(period_max, abs(lhs_p + shift_rhs(z, tau, kpole)))
+    probes = _inversion_ratios(tau, inner_tol)
+    ratios = [ratio for _, _, ratio in probes]
+    # (period translation - 1) f = exp(pi i tau + 2 pi i z) f(z + tau) - f(z)
+    period_max = max(
+        abs(
+            cmath.exp(1j * math.pi * tau + 2j * math.pi * z) * contour_f(z + tau, tau, 1, 0, inner_tol)
+            - fz
+            + shift_rhs(z, tau, 1)
+        )
+        for z, fz, _ in probes
+    )
     zeta, zeta_residual = fit_eighth_root(ratios)
     spread = max(abs(r1 - r2) for r1 in ratios for r2 in ratios)
-    translation_max = 0.0
-    for z, ratio in zip(z_probes, ratios):
-        z = complex(z)
-        translation_max = max(
-            translation_max,
-            abs((ratio - zeta) * inversion_rhs(z, tau, nshift, 1.0)),
-        )
+    translation_max = max(
+        abs((ratio - zeta) * inversion_rhs(z, tau, 0, 1.0)) for z, _, ratio in probes
+    )
     ok = (
         translation_max < tol
         and period_max < tol
@@ -303,14 +257,14 @@ def verify_case3_1d(z_probes, tau: complex, tol: float = 1e-8, kpole: int = 1, n
 # ---------------------------------------------------------------------------
 # numerical determination of the unit multiplier
 
-def determine_zeta(g: ModularElement, omega, probe=None) -> tuple[complex, float]:
+def determine_zeta(g: ModularElement, omega) -> tuple[complex, float]:
     """Fit the eighth root of unity for g against a reference identity.
 
     Supported references: the identity element (zeta = 1); upper-triangular
     elements (C = 0), where the transformed cone sum must reproduce the
-    plain one; and the 1-dimensional inversion (C = +-1, A = D = 0) with
-    Im(omega) < 0 via the contour identity.  Elsewhere no reference is
-    available and ValidationError is raised.
+    plain one at five sample points; and the 1-dimensional inversion
+    (C = +-1, A = D = 0) with Im(omega) < 0 via the contour identity.
+    Elsewhere no reference is available and ValidationError is raised.
     """
     omega = check_symmetric(omega)
     n = g.n
@@ -322,10 +276,8 @@ def determine_zeta(g: ModularElement, omega, probe=None) -> tuple[complex, float
         basis = find_split_basis(omega.imag, k)
         cone = ConeSpec(basis.positive_generators(), (0,) * n)
         plain = ConeSum(cone, DEFAULT_TOL)
-        if probe is None:
-            probe = sample_points(n, 5)
         ratios = []
-        for Z in probe:
+        for Z in sample_points(n, 5):
             base, _ = plain.value_tail(omega, Z)
             image, _ = ModularImage(plain, g, 1.0).value_tail(omega, Z)
             ratios.append(base / image)
@@ -334,13 +286,5 @@ def determine_zeta(g: ModularElement, omega, probe=None) -> tuple[complex, float
         tau = complex(omega[0, 0])
         if tau.imag >= 0:
             raise ValidationError("inversion reference needs Im(tau) < 0")
-        if probe is None:
-            probe = DEFAULT_PROBES
-        ratios = []
-        for z in probe:
-            z = complex(np.asarray(z, dtype=complex).ravel()[0])
-            fz = contour_f(z, tau, 1, 0, 1e-11)
-            lhs = _act_translation(fz, z, tau, 1, 0, 1e-11)
-            ratios.append(lhs / inversion_rhs(z, tau, 0, 1.0))
-        return fit_eighth_root(ratios)
+        return fit_eighth_root([ratio for _, _, ratio in _inversion_ratios(tau, 1e-11)])
     raise ValidationError("no reference identity available for this element")

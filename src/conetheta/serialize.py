@@ -63,6 +63,19 @@ def json_to_int_matrix(rows) -> np.ndarray:
     return M
 
 
+def json_to_int(value, name: str) -> int:
+    """An integral JSON scalar (an integer, an integral float or a numeric
+    string) as an int; anything else, 1.5 or 1e400 included, is a
+    ValidationError rather than a truncation."""
+    try:
+        x = Fraction(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError("%s is not an integer: %r" % (name, value)) from exc
+    if x.denominator != 1:
+        raise ValidationError("%s is not an integer: %r" % (name, value))
+    return int(x)
+
+
 def basis_to_json(basis: SplitBasis) -> dict:
     return {
         "n": basis.n,
@@ -74,7 +87,8 @@ def basis_to_json(basis: SplitBasis) -> dict:
 
 def json_to_basis(d) -> SplitBasis:
     try:
-        return SplitBasis(json_to_int_matrix(d["N"]), json_to_int_matrix(d["M"]), int(d["k"]))
+        k = json_to_int(d["k"], "basis k")
+        return SplitBasis(json_to_int_matrix(d["N"]), json_to_int_matrix(d["M"]), k)
     except (KeyError, TypeError) as exc:
         raise ValidationError("malformed basis payload") from exc
 
@@ -165,10 +179,10 @@ _MAX_EXACT_SHIFT = 2**53
 
 def parse_instance(payload: dict) -> ProblemInstance:
     try:
-        n = int(payload["n"])
-        k = int(payload["k"])
+        n = json_to_int(payload["n"], "n")
+        k = json_to_int(payload["k"], "k")
         omega = json_to_matrix(payload["omega"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ValidationError("instance requires n, k and omega") from exc
     if omega.shape != (n, n):
         raise ValidationError("omega shape does not match n")
@@ -195,8 +209,8 @@ def parse_instance(payload: dict) -> ProblemInstance:
         rec = payload["characteristic"]
         try:
             a = tuple(Fraction(x) for x in rec["a"])
-            delta = tuple(int(d) for d in rec["delta"])
-        except (KeyError, TypeError, ValueError) as exc:
+            delta = tuple(json_to_int(d, "delta entry") for d in rec["delta"])
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError("malformed characteristic payload") from exc
         inst.characteristic = Characteristic(a, delta)
     if "cone" in payload and payload["cone"] is not None:
@@ -215,10 +229,7 @@ def parse_instance(payload: dict) -> ProblemInstance:
             raise ValidationError("tolerances must be a record of names to numbers")
         inst.tolerances = {str(k2): check_tolerance(str(k2), v) for k2, v in rec.items()}
     if "seed" in payload:
-        try:
-            inst.seed = int(payload["seed"])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValidationError("seed is not an integer: %r" % payload["seed"]) from exc
+        inst.seed = json_to_int(payload["seed"], "seed")
     return inst
 
 

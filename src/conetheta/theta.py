@@ -113,12 +113,6 @@ class Characteristic:
     def n(self) -> int:
         return len(self.a)
 
-    def a_float(self) -> np.ndarray:
-        return np.array([float(x) for x in self.a])
-
-    def delta_matrix(self) -> np.ndarray:
-        return np.diag(np.array(self.delta, dtype=np.int64))
-
 
 def reduced_characteristics(delta) -> list[Characteristic]:
     """All det(Delta) distinct reduced characteristics of the given type."""
@@ -324,8 +318,9 @@ class WedgeSum(Family):
 class LambdaShifted(Family):
     """Image of a family under the lattice action of the pair (M, N):
 
-        f(Z) -> exp(2 pi i tN Z + pi i tN omega N) f(Z + Delta M + omega N).
+        f(Z) -> exp(2 pi i tN Z + pi i tN omega N) f(Z + M + omega N).
 
+    ``mvec`` holds the translation already twisted by the type (Delta M).
     Prefactors and the argument shift are stored symbolically and applied
     exactly at evaluation time.
     """
@@ -333,15 +328,12 @@ class LambdaShifted(Family):
     inner: Family
     mvec: tuple
     nvec: tuple
-    delta: tuple | None = None
 
     def value_tail(self, omega, Z):
         omega = check_symmetric(omega)
         Z = np.asarray(Z, dtype=complex)
         M = np.array(self.mvec, dtype=float)
         N = np.array(self.nvec, dtype=float)
-        if self.delta is not None:
-            M = np.array(self.delta, dtype=float) * M
         pref = cmath.exp(1j * math.pi * (2.0 * (N @ Z) + N @ omega @ N))
         v, t = self.inner.value_tail(omega, Z + M + omega @ N)
         return pref * v, abs(pref) * t
@@ -365,31 +357,21 @@ def theta_char(
     return ThetaValue(v, t)
 
 
-def lambda_action(Mvec, Nvec, f: Evaluator, omega, delta=None) -> Evaluator:
-    """Act on an evaluator by the lattice pair (M, N); ``delta`` twists the
-    translation part to Delta M for non-principal types."""
-    omega = check_symmetric(omega)
-    if np.max(np.abs(omega - f.omega)) > 1e-12:
-        raise ShapeMismatch("evaluator is pinned to a different period matrix")
-    if delta is None:
-        dl = None
-    else:
-        d = np.asarray(delta)
-        dl = tuple(int(x) for x in (np.diag(d) if d.ndim == 2 else d))
-    fam = LambdaShifted(
-        f.family,
-        tuple(int(x) for x in np.asarray(Mvec).ravel()),
-        tuple(int(x) for x in np.asarray(Nvec).ravel()),
-        dl,
-    )
-    return Evaluator(fam, omega)
+def lambda_action(Mvec, Nvec, f: Evaluator, delta=None) -> Evaluator:
+    """Act on an evaluator by the lattice pair (M, N) over its own period
+    matrix; the type vector ``delta`` twists the translation part to
+    Delta M for non-principal types."""
+    M = [int(x) for x in np.asarray(Mvec).ravel()]
+    if delta is not None:
+        M = [int(d) * m for d, m in zip(delta, M, strict=True)]
+    N = tuple(int(x) for x in np.asarray(Nvec).ravel())
+    return Evaluator(LambdaShifted(f.family, tuple(M), N), f.omega)
 
 
-def wedge_function(basis: SplitBasis, omega, k: int | None = None, tol: float = DEFAULT_TOL) -> Evaluator:
-    """Evaluator of the signed wedge sum attached to the unit shear at
-    position k (defaults to the basis splitting index)."""
-    idx = basis.k if k is None else k
-    return Evaluator(WedgeSum(basis, idx, tol), np.asarray(omega, dtype=complex))
+def wedge_function(basis: SplitBasis, omega, tol: float = DEFAULT_TOL) -> Evaluator:
+    """Evaluator of the signed wedge sum attached to the unit shear at the
+    basis splitting index."""
+    return Evaluator(WedgeSum(basis, basis.k, tol), np.asarray(omega, dtype=complex))
 
 
 def sample_points(n: int, count: int = 5, seed: int = DEFAULT_SEED) -> list[np.ndarray]:
@@ -425,39 +407,25 @@ def _direction_pairs(columns: np.ndarray, k: int, n: int):
 
 
 def verify_cocycle(
-    c: Evaluator,
-    basis,
-    omega,
-    samples=5,
-    k: int | None = None,
-    delta=None,
-    seed: int = DEFAULT_SEED,
+    c: Evaluator, columns, k: int, delta=None, seed: int = DEFAULT_SEED
 ) -> dict[str, float]:
     """Residuals of the untouched differentials applied to a cochain placed
     at position (1..k; empty): (N_j - 1) c for j > k and (M_i - 1) c for all
-    i, evaluated at the sample points.
+    i, evaluated at five sample points drawn from ``seed``.
 
-    ``basis`` is a SplitBasis or a 2n x 2n integer column matrix (the first
-    n columns are the N-type directions).  Returns {direction: residual}.
+    ``columns`` is the 2n x 2n integer coordinate matrix of the basis (the
+    first n columns are the N-type directions; SplitBasis.columns_2n()).
+    Returns {direction: residual}.
     """
-    omega = check_symmetric(omega)
-    n = omega.shape[0]
-    if isinstance(basis, SplitBasis):
-        columns = basis.columns_2n()
-        if k is None:
-            k = basis.k
-    else:
-        columns = np.asarray(basis, dtype=np.int64)
-        if k is None:
-            raise ShapeMismatch("k is required with raw basis columns")
+    n = c.omega.shape[0]
+    columns = np.asarray(columns, dtype=np.int64)
     if columns.shape != (2 * n, 2 * n):
         raise ShapeMismatch("basis columns must be 2n x 2n")
-    if isinstance(samples, int):
-        samples = sample_points(n, samples, seed)
+    samples = sample_points(n, 5, seed)
     residuals: dict[str, float] = {}
     base_vals = [c(Z).value for Z in samples]
     for name, mvec, nvec in _direction_pairs(columns, k, n):
-        acted = lambda_action(mvec, nvec, c, omega, delta=delta)
+        acted = lambda_action(mvec, nvec, c, delta=delta)
         resid = 0.0
         for Z, base in zip(samples, base_vals):
             resid = max(resid, abs(acted(Z).value - base))

@@ -112,6 +112,49 @@ def test_verify_rejects_basis_dual_only_modulo_int64(tmp_path):
     assert main(["verify", "--instance", inst, "--suite", "cocycle"]) == 2
 
 
+def _readme_basis_instance():
+    return {
+        "n": 2,
+        "k": 1,
+        "omega": cm(np.diag([-1j, 2j])),
+        "basis": {"n": 2, "k": 1, "N": [[1, 0], [0, 1]], "M": [[1, 0], [0, 1]]},
+        "characteristic": {"a": ["0", "1/2"], "delta": [1, 2]},
+        "seed": 5,
+    }
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("basis.k", '"x"'),
+        ("basis.k", "1e400"),
+        ("basis.k", "1.5"),
+        ("k", "1.5"),
+        ("n", "1.5"),
+        ("seed", "1.5"),
+        ("delta", "2.5"),
+    ],
+)
+def test_verify_rejects_non_integral_integers(tmp_path, field, value):
+    # "x" and 1e400 escaped as ValueError / OverflowError, 1.5 was truncated
+    payload = _readme_basis_instance()
+    record = {"basis.k": payload["basis"], "delta": payload["characteristic"]["delta"]}.get(field, payload)
+    record[{"basis.k": "k", "delta": 1}.get(field, field)] = "@"
+    p = tmp_path / "i.json"
+    p.write_text(json.dumps(payload).replace('"@"', value))
+    assert main(["verify", "--instance", str(p), "--suite", "cocycle"]) == 2
+
+
+def test_verify_accepts_integral_floats(tmp_path, capsys):
+    payload = _readme_basis_instance()
+    assert main(["verify", "--instance", write(tmp_path, "a.json", payload), "--suite", "cocycle"]) == 0
+    plain = capsys.readouterr().out
+    payload.update(n=2.0, k=1.0, seed=5.0)
+    payload["basis"]["k"] = 1.0
+    assert main(["verify", "--instance", write(tmp_path, "b.json", payload), "--suite", "cocycle"]) == 0
+    assert capsys.readouterr().out == plain
+
+
 @pytest.mark.parametrize("radius", ["abc", None])
 def test_cone_radius_key_is_ignored(tmp_path, capsys, radius):
     payload = {"n": 1, "k": 0, "omega": cm([[1j]]), "cone": {"generators": [[1]], "shift": ["1/3"]}}

@@ -5,8 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conetheta.errors import SingularMatrix
-from conetheta.intmat import int_det, is_primitive_columns, unimodular_completion, unimodular_inverse
+from conetheta.errors import SingularMatrix, ValidationError
+from conetheta.intmat import (
+    as_int_matrix,
+    int_det,
+    is_primitive_columns,
+    unimodular_completion,
+    unimodular_inverse,
+)
 
 
 @st.composite
@@ -69,3 +75,16 @@ def test_unimodular_completion_is_unimodular(V):
     C = unimodular_completion(V)
     assert C.shape == (n, n - m)
     assert abs(int_det(np.column_stack([V, C]))) == 1
+
+
+@pytest.mark.parametrize("entry", [2**63, 2**64, -(2**63) - 1], ids=["2^63", "2^64", "-2^63-1"])
+def test_as_int_matrix_beyond_int64_raises(entry):
+    # 2**63 makes a uint64 array that astype(int64) would wrap; the other
+    # two make an object array of Python ints
+    with pytest.raises(ValidationError):
+        as_int_matrix([[entry]])
+
+
+def test_as_int_matrix_int64_extremes():
+    M = as_int_matrix([[2**63 - 1, -(2**63)]])
+    assert M.dtype == np.int64 and M.tolist() == [[2**63 - 1, -(2**63)]]

@@ -464,6 +464,21 @@ def test_transform_basis_matches_object_arithmetic():
         assert (P @ S.astype(object)).tolist() == (g.matrix().T.astype(object) @ P).tolist()
 
 
+def test_modular_inverse_beyond_int64_raises():
+    # g = (1, -2**63; 0, 1) is symplectic, but its inverse has B = 2**63,
+    # which negating the int64 block wraps back to -2**63
+    g = ModularElement([[1]], [[-(2**63)]], [[0]], [[1]])
+    assert is_symplectic(g)
+    with pytest.raises(ValidationError):
+        g.inverse()
+
+
+def test_modular_inverse_is_exact():
+    g = ModularElement([[1]], [[2**63 - 1]], [[0]], [[1]])
+    assert g.inverse().B.tolist() == [[-(2**63) + 1]]
+    assert (g @ g.inverse()).is_identity()
+
+
 def test_random_gamma12_members():
     rng = SplitMix64(7)
     for n in (1, 2, 3):

@@ -201,14 +201,14 @@ def test_reduced_characteristics_count():
 
 def test_lambda_action_identity_pair():
     ev = Evaluator(ConeSum(FULL1, 1e-12), OM1)
-    acted = lambda_action((0,), (0,), ev, OM1)
+    acted = lambda_action((0,), (0,), ev)
     for Z in sample_points(1, 3):
         assert abs(acted(Z).value - ev(Z).value) == 0.0
 
 
 def test_lambda_action_translation_only():
     ev = Evaluator(ConeSum(FULL1, 1e-12), OM1)
-    acted = lambda_action((1,), (0,), ev, OM1)
+    acted = lambda_action((1,), (0,), ev)
     for Z in sample_points(1, 3):
         assert abs(acted(Z).value - ev(Z + 1.0).value) < 1e-14
 
@@ -224,7 +224,7 @@ def test_lambda_action_shifts_cone():
     for direction in ((0, 1), (1, 0)):
         shifted = ConeSpec(np.array([[0], [1]]), direction)
         ev_shift = Evaluator(ConeSum(shifted, 1e-12), om)
-        acted = lambda_action((0, 0), direction, ev, om)
+        acted = lambda_action((0, 0), direction, ev)
         for Z in sample_points(2, 5):
             assert abs(acted(Z).value - ev_shift(Z).value) < 1e-9
 
@@ -239,9 +239,9 @@ def test_lambda_action_composition():
         N1 = (rng.next_int(-1, 1), rng.next_int(-1, 1))
         M2 = (rng.next_int(-1, 1), rng.next_int(-1, 1))
         N2 = (rng.next_int(-1, 1), rng.next_int(-1, 1))
-        two_step = lambda_action(M1, N1, lambda_action(M2, N2, ev, om), om)
+        two_step = lambda_action(M1, N1, lambda_action(M2, N2, ev))
         one_step = lambda_action(
-            (M1[0] + M2[0], M1[1] + M2[1]), (N1[0] + N2[0], N1[1] + N2[1]), ev, om
+            (M1[0] + M2[0], M1[1] + M2[1]), (N1[0] + N2[0], N1[1] + N2[1]), ev
         )
         for Z in sample_points(2, 2, rng.next_int(0, 10**6)):
             assert abs(two_step(Z).value - one_step(Z).value) < 1e-10
@@ -281,7 +281,7 @@ def test_wedge_shear_identity():
     plain = Evaluator(ConeSum(ConeSpec(np.array([[0], [1]]), (0, 0)), 1e-12), WOM)
     sheared = Evaluator(ConeSum(ConeSpec(np.array([[-1], [1]]), (0, 0)), 1e-12), WOM)
     for Z in sample_points(2, 5):
-        lhs = lambda_action((0, 0), (1, 0), f, WOM)(Z).value - f(Z).value
+        lhs = lambda_action((0, 0), (1, 0), f)(Z).value - f(Z).value
         rhs = plain(Z).value - sheared(Z).value
         assert abs(lhs - rhs) < 1e-8
 
@@ -290,16 +290,21 @@ def test_wedge_next_identity():
     f = wedge_function(WBASIS, WOM, tol=1e-12)
     sheared = Evaluator(ConeSum(ConeSpec(np.array([[-1], [1]]), (0, 0)), 1e-12), WOM)
     for Z in sample_points(2, 5):
-        lhs = lambda_action((0, 0), (0, 1), f, WOM)(Z).value - f(Z).value
+        lhs = lambda_action((0, 0), (0, 1), f)(Z).value - f(Z).value
         assert abs(lhs + sheared(Z).value) < 1e-8
 
 
 # ---------------------------------------------------------------------------
 # cocycle verification
 
+def _cols(n, k):
+    basis = SplitBasis.identity(n, k)
+    return basis.columns_2n(), basis.k
+
+
 def test_verify_cocycle_classical():
     ev = Evaluator(ConeSum(FULL1, 1e-12), OM1)
-    res = verify_cocycle(ev, SplitBasis.identity(1, 0), OM1)
+    res = verify_cocycle(ev, *_cols(1, 0))
     assert set(res) == {"N_1", "M_1"}
     assert all(r < 1e-9 for r in res.values())
 
@@ -307,7 +312,7 @@ def test_verify_cocycle_classical():
 def test_verify_cocycle_point_cone_exact():
     om = np.array([[-1j]])
     ev = Evaluator(ConeSum(ConeSpec(np.zeros((1, 0), dtype=np.int64), (0,)), 1e-12), om)
-    res = verify_cocycle(ev, SplitBasis.identity(1, 1), om)
+    res = verify_cocycle(ev, *_cols(1, 1))
     assert set(res) == {"M_1"}
     assert res["M_1"] < 1e-12
 
@@ -315,7 +320,7 @@ def test_verify_cocycle_point_cone_exact():
 def test_verify_cocycle_indefinite():
     om = np.diag([-1j, 1j])
     ev = Evaluator(ConeSum(ConeSpec(np.array([[0], [1]]), (0, 0)), 1e-12), om)
-    res = verify_cocycle(ev, SplitBasis.identity(2, 1), om)
+    res = verify_cocycle(ev, *_cols(2, 1))
     assert set(res) == {"N_2", "M_1", "M_2"}
     assert all(r < 1e-8 for r in res.values())
 
@@ -325,7 +330,7 @@ def test_verify_cocycle_twisted_characteristic():
     char = Characteristic((0, Fraction(1, 2)), (1, 2))
     cone = ConeSpec(np.array([[0], [1]]), (0, 0)).with_extra_shift(char.a)
     ev = Evaluator(ConeSum(cone, 1e-12), om)
-    res = verify_cocycle(ev, SplitBasis.identity(2, 1), om, delta=char.delta)
+    res = verify_cocycle(ev, *_cols(2, 1), delta=char.delta)
     assert all(r < 1e-8 for r in res.values())
 
 
