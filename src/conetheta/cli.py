@@ -38,6 +38,7 @@ from .koszul import (
     GroupRingElement,
     KoszulChain,
     koszul_d,
+    random_Ia_block,
     random_type_word,
     s_star,
     telescope_decompose,
@@ -56,12 +57,13 @@ from .lattice import (
     is_gamma12,
     transform_basis,
 )
-from .linalg import signature
+from .linalg import principal_sqrt_det, signature
 from .modular import (
     ModularImage,
     determine_zeta,
     modular_apply,
     omega_transform,
+    round_trip_residual,
     verify_case3_1d,
 )
 from .reduced import (
@@ -147,11 +149,11 @@ def _positive_cone(inst: ProblemInstance) -> tuple[SplitBasis, ConeSpec]:
     return basis, cone
 
 
-def _cone_from_instance(inst: ProblemInstance) -> ConeSpec:
-    if inst.cone is not None:
-        return inst.cone
-    _, cone = _positive_cone(inst)
-    return cone
+def _add_cocycle(rep: VerificationReport, prefix: str, residuals: dict, tol: float):
+    """One check per direction of a verify_cocycle result, named
+    prefix:direction."""
+    for name, r in residuals.items():
+        rep.add("%s:%s" % (prefix, name), r, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -162,16 +164,12 @@ def suite_cocycle(inst: ProblemInstance) -> VerificationReport:
     tol = inst.tol("identity", TOL_IDENTITY)
     basis, cone = _positive_cone(inst)
     c = Evaluator(ConeSum(cone, inst.tol("sum", TOL_SUM) * 1e-2), inst.omega)
-    res = verify_cocycle(c, basis.columns_2n(), basis.k, seed=inst.seed)
-    for name, r in res.items():
-        rep.add("c:%s" % name, r, tol)
+    _add_cocycle(rep, "c", verify_cocycle(c, basis.columns_2n(), basis.k, seed=inst.seed), tol)
     if inst.g is not None and not np.any(inst.g.C):
         zeta, _ = determine_zeta(inst.g, inst.omega)
         cg = modular_apply(inst.g, c, zeta)
         cols, _ = transform_basis(inst.g, basis)
-        resg = verify_cocycle(cg, cols, inst.k, seed=inst.seed)
-        for name, r in resg.items():
-            rep.add("c^g:%s" % name, r, tol)
+        _add_cocycle(rep, "c^g", verify_cocycle(cg, cols, inst.k, seed=inst.seed), tol)
     return rep
 
 
@@ -180,19 +178,22 @@ def suite_heat(inst: ProblemInstance) -> VerificationReport:
     tol_term = inst.tol("heat_term", 1e-14)
     tol_fd = inst.tol("fd", TOL_FD)
     n = inst.n
+    pairs = list(itertools.combinations_with_replacement(range(1, n + 1), 2))
     kmax = 5
     grid = np.array(list(itertools.product(range(-kmax, kmax + 1), repeat=n)), dtype=float)
-    residuals = [
-        heat_term_residual(grid, inst.omega, i, j) for i in range(1, n + 1) for j in range(i, n + 1)
-    ]
+    residuals = [heat_term_residual(grid, inst.omega, i, j) for i, j in pairs]
     rep.add("termwise_max", float(np.max(residuals)), tol_term)
 
     basis, cone = _positive_cone(inst)
     fam = ConeSum(cone, 1e-13)
     Z = np.full(n, 0.2 + 0.05j, dtype=complex)
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            rep.add("fd_%d%d" % (i, j), heat_fd_residual(fam, inst.omega, Z, i, j), tol_fd)
+
+    def add_fd(prefix: str, family) -> None:
+        for i, j in pairs:
+            r = heat_fd_residual(family, inst.omega, Z, i, j)
+            rep.add("%s_%d%d" % (prefix, i, j), r, tol_fd)
+
+    add_fd("fd", fam)
     r_coarse = heat_fd_residual(fam, inst.omega, Z, n, n, eps=2e-3)
     r_fine = heat_fd_residual(fam, inst.omega, Z, n, n, eps=1e-3)
     if r_coarse == 0.0 and r_fine == 0.0:
@@ -205,24 +206,9 @@ def suite_heat(inst: ProblemInstance) -> VerificationReport:
 
     if inst.g is not None:
         zeta = 1.0 if np.any(inst.g.C) else determine_zeta(inst.g, inst.omega)[0]
-        gfam = ModularImage(fam, inst.g, zeta)
-        for i in range(1, n + 1):
-            for j in range(i, n + 1):
-                rep.add(
-                    "fd_transformed_%d%d" % (i, j),
-                    heat_fd_residual(gfam, inst.omega, Z, i, j),
-                    tol_fd,
-                )
+        add_fd("fd_transformed", ModularImage(fam, inst.g, zeta))
     if inst.characteristic is not None:
-        shifted = cone.with_extra_shift(inst.characteristic.a)
-        cfam = ConeSum(shifted, 1e-13)
-        for i in range(1, n + 1):
-            for j in range(i, n + 1):
-                rep.add(
-                    "fd_characteristic_%d%d" % (i, j),
-                    heat_fd_residual(cfam, inst.omega, Z, i, j),
-                    tol_fd,
-                )
+        add_fd("fd_characteristic", ConeSum(cone.with_extra_shift(inst.characteristic.a), 1e-13))
     return rep
 
 
@@ -233,14 +219,7 @@ def suite_modular_case1(inst: ProblemInstance) -> VerificationReport:
     rng = SplitMix64(inst.seed)
     basis, _ = _positive_cone(inst)
     zero = np.zeros((n, n), dtype=np.int64)
-    mats = []
-    for _ in range(3):
-        # identity top-left k x k block, unit lower-triangular completion
-        A = np.eye(n, dtype=np.int64)
-        for i in range(max(inst.k, 1), n):
-            for j in range(i):
-                A[i, j] = rng.next_int(-2, 2)
-        mats.append(A)
+    mats = [random_Ia_block(n, max(inst.k, 1), rng) for _ in range(3)]
     for idx, A in enumerate(mats):
         g = ModularElement(A.T, zero, zero, unimodular_inverse(A))
         og = omega_transform(g, inst.omega)
@@ -249,8 +228,7 @@ def suite_modular_case1(inst: ProblemInstance) -> VerificationReport:
             "signature_preserved_%d" % idx,
             signature(og.imag) == signature(inst.omega.imag),
         )
-        back = (g.A.astype(complex) @ og + g.B) @ np.linalg.inv(g.C.astype(complex) @ og + g.D)
-        rep.add("round_trip_%d" % idx, float(np.max(np.abs(back - inst.omega))), 1e-10)
+        rep.add("round_trip_%d" % idx, round_trip_residual(g, inst.omega, og), 1e-10)
         cols, S = transform_basis(g, basis)
         rep.add_exact(
             "block_diagonal_%d" % idx,
@@ -299,8 +277,7 @@ def suite_modular_case2(inst: ProblemInstance) -> VerificationReport:
     rep.add("pointwise_equality", worst, inst.tol("case2", 1e-9))
     cols, _ = transform_basis(g, basis)
     resg = verify_cocycle(cg, cols, inst.k, seed=inst.seed)
-    for name, r in resg.items():
-        rep.add("c^g:%s" % name, r, inst.tol("identity", TOL_IDENTITY))
+    _add_cocycle(rep, "c^g", resg, inst.tol("identity", TOL_IDENTITY))
     return rep
 
 
@@ -458,8 +435,7 @@ def suite_characteristics(inst: ProblemInstance) -> VerificationReport:
     shifted = cone.with_extra_shift(char.a)
     c = Evaluator(ConeSum(shifted, 1e-12), inst.omega)
     res = verify_cocycle(c, basis.columns_2n(), basis.k, delta=char.delta, seed=inst.seed)
-    for name, r in res.items():
-        rep.add("twisted:%s" % name, r, tol)
+    _add_cocycle(rep, "twisted", res, tol)
     # integral shift is absorbed by the cone
     plain = Evaluator(ConeSum(cone, 1e-12), inst.omega)
     intshift = Evaluator(
@@ -513,7 +489,7 @@ def _emit(payload: dict, json_out: str | None):
 def cmd_eval(args) -> int:
     inst = load_instance(args.instance)
     Z = _parse_z(args.z, inst.n) if args.z else np.zeros(inst.n, dtype=complex)
-    cone = _cone_from_instance(inst)
+    cone = inst.cone if inst.cone is not None else _positive_cone(inst)[1]
     if args.tol is not None:
         tol = check_tolerance("--tol", args.tol)
     else:
@@ -536,8 +512,6 @@ def cmd_transform(args) -> int:
     if not is_gamma12(g):
         raise ValidationError("element is not in the theta subgroup")
     og = omega_transform(g, inst.omega)
-    from .linalg import principal_sqrt_det
-
     sqrt_det = principal_sqrt_det(g.C.astype(complex) @ og + g.D.astype(complex))
     try:
         zeta, fit_resid = determine_zeta(g, inst.omega)
@@ -545,9 +519,8 @@ def cmd_transform(args) -> int:
     except ConethetaError:
         zeta_json = None
         fit_resid = None
-    back = (g.A.astype(complex) @ og + g.B) @ np.linalg.inv(g.C.astype(complex) @ og + g.D)
     residuals = {
-        "round_trip": float(np.max(np.abs(back - inst.omega))),
+        "round_trip": round_trip_residual(g, inst.omega, og),
         "symmetry": float(np.max(np.abs(og - og.T))),
     }
     if fit_resid is not None:

@@ -358,18 +358,24 @@ def type_III(n: int) -> np.ndarray:
     return S
 
 
+def random_Ia_block(n: int, k: int, rng) -> np.ndarray:
+    """Random n x n block for type_Ia: identity k x k top-left block and a
+    unit lower-triangular completion with entries in [-2, 2], drawn row by
+    row."""
+    A = np.eye(n, dtype=np.int64)
+    for i in range(k, n):
+        for j in range(i):
+            A[i, j] = rng.next_int(-2, 2)
+    return A
+
+
 def random_type_word(n: int, k: int, length: int, rng) -> np.ndarray:
     """Product of random type Ia/Ib/Ic/II/III matrices."""
     S = np.eye(2 * n, dtype=np.int64)
     for _ in range(length):
         which = rng.next_int(0, 4)
         if which == 0:
-            # identity k x k top-left block, unit lower-triangular completion
-            A = np.eye(n, dtype=np.int64)
-            for i in range(k, n):
-                for j in range(i):
-                    A[i, j] = rng.next_int(-2, 2)
-            step = type_Ia(A)
+            step = type_Ia(random_Ia_block(n, k, rng))
         elif which == 1:
             step = type_Ib(n, max(k, 2))
         elif which == 2:

@@ -191,11 +191,9 @@ class ConeSpec:
         if len(shift) != G.shape[0]:
             raise ShapeMismatch("shift length does not match ambient dimension")
         object.__setattr__(self, "shift", shift)
-        if G.shape[1]:
-            if np.linalg.matrix_rank(G) != G.shape[1]:
-                raise ShapeMismatch("generators are linearly dependent")
-            if not is_primitive_columns(G):
-                raise ShapeMismatch("generators are not a primitive sublattice basis")
+        # dependent columns are not primitive either
+        if G.shape[1] and not is_primitive_columns(G):
+            raise ShapeMismatch("generators are not a primitive sublattice basis")
 
     @property
     def n(self) -> int:
@@ -326,7 +324,7 @@ class ConeForm:
     triangular Cholesky factor R (A = tR R), the minimiser ``c_star`` of the
     form on s + span(G), its minimum ``q_min`` and t_s = sqrt(ts Q s).
     enumerate_cone and theta.tail_bound read these at any radius.  A cone of
-    rank 0 has no factor.  When trunc(c*) != 0, the shift is moved by the
+    rank 0 has no factor.  While trunc(c*) != 0, the shift is moved by the
     lattice vector G trunc(c*) in exact rationals, so that a large integer
     part does not round away the low bits of float(s) + G c; the points stay
     the same.  Raises NonPositiveRestriction when Q is not positive definite
@@ -351,11 +349,17 @@ class ConeForm:
             self.lam = float(eig[0])
             self.R = np.linalg.cholesky(A).T
         self._place(cone.shift_float(), A)
-        if m and np.all(np.isfinite(self.c_star)):
+        # c* inherits the rounding error of float(s), so a huge shift needs
+        # more than one move; each move shrinks c* by a factor near 2**-52
+        moved, last = cone, math.inf
+        while m and np.all(np.isfinite(self.c_star)):
             t = [int(c) for c in np.trunc(self.c_star)]
-            if any(t):
-                moved = cone.with_extra_shift(exact(cone.generators) @ np.array(t, dtype=object))
-                self._place(moved.shift_float(), A)
+            size = max(abs(x) for x in t)
+            if size == 0 or size >= last:
+                break
+            last = size
+            moved = moved.with_extra_shift(exact(cone.generators) @ np.array(t, dtype=object))
+            self._place(moved.shift_float(), A)
         if not (math.isfinite(self.q_min) and math.isfinite(self.t_s)):
             raise ValidationError("cone shift too large: its norm under the form is not finite")
 
@@ -419,12 +423,10 @@ def enumerate_cone(form: ConeForm, radius: float) -> np.ndarray:
     return K[np.lexsort(tuple(K[:, j] for j in range(n - 1, -1, -1)) + (norm,))]
 
 
-def enumerate_wedge(
-    basis: SplitBasis, g_type_ic_index: int, Q, radius
-) -> list[tuple[np.ndarray, int]]:
+def enumerate_wedge(basis: SplitBasis, Q, radius) -> list[tuple[np.ndarray, int]]:
     """Signed lattice points realising the difference of the two families of
     shifted positive cones attached to the unipotent basis change
-    N_{idx+1} -> N_{idx+1} - N_idx.
+    N_{idx+1} -> N_{idx+1} - N_idx at the splitting index idx = basis.k.
 
     Write a point as K = t N_idx + sum_i c_i N_{idx+1+i} and truncate to the
     window |t|, |c_i| <= R = floor(radius).  The sheared family covers
@@ -434,7 +436,7 @@ def enumerate_wedge(
     form and returned as (K, sign) pairs in no particular order.
     """
     Q = as_real_symmetric(Q)
-    idx = g_type_ic_index
+    idx = basis.k
     n = basis.n
     if not (1 <= idx <= n - 1):
         raise ShapeMismatch("unipotent index out of range")

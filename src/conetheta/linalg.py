@@ -1,5 +1,5 @@
-"""Dense complex/real matrix arithmetic: signatures, inverses and the
-branch-controlled square root of a determinant.
+"""Dense complex/real matrix arithmetic: symmetry checks, signatures and
+the branch-controlled square root of a determinant.
 
 All inputs are small (n <= 8) IEEE double matrices.  Values are treated as
 immutable; every function is pure.
@@ -16,8 +16,8 @@ from .errors import DegenerateForm, ShapeMismatch, SingularMatrix
 #: relative eigenvalue threshold below which a form counts as degenerate
 TOL_DEGENERATE = 1e-9
 
-#: max-norm tolerance for inverse round trips
-TOL_LINALG = 1e-10
+#: relative max-norm asymmetry above which a matrix counts as not symmetric
+TOL_SYMMETRIC = 1e-12
 
 
 def as_square_complex(M) -> np.ndarray:
@@ -43,39 +43,26 @@ def as_real_symmetric(Q) -> np.ndarray:
     return np.triu(A) + np.triu(A, 1).T
 
 
-def check_symmetric(M, tol: float = 1e-12) -> np.ndarray:
+def check_symmetric(M) -> np.ndarray:
     A = as_square_complex(M)
-    if A.shape[0] and np.max(np.abs(A - A.T)) > tol * max(1.0, np.max(np.abs(A))):
+    if A.shape[0] and np.max(np.abs(A - A.T)) > TOL_SYMMETRIC * max(1.0, np.max(np.abs(A))):
         raise ShapeMismatch("matrix is not symmetric")
     return (A + A.T) / 2
 
 
-def signature(Q, tol_degenerate: float = TOL_DEGENERATE) -> tuple[int, int]:
+def signature(Q) -> tuple[int, int]:
     """Signature (neg, pos) of a nondegenerate real symmetric form.
 
-    Raises DegenerateForm when some eigenvalue is within ``tol_degenerate``
+    Raises DegenerateForm when some eigenvalue is within TOL_DEGENERATE
     (relative to the largest magnitude eigenvalue) of zero.
     """
     A = as_real_symmetric(Q)
     eig = np.linalg.eigvalsh(A)
     scale = float(np.max(np.abs(eig))) if eig.size else 0.0
-    if scale == 0.0 or np.min(np.abs(eig)) <= tol_degenerate * scale:
-        raise DegenerateForm("eigenvalue within %g of zero" % tol_degenerate)
+    if scale == 0.0 or np.min(np.abs(eig)) <= TOL_DEGENERATE * scale:
+        raise DegenerateForm("eigenvalue within %g of zero" % TOL_DEGENERATE)
     neg = int(np.sum(eig < 0))
     return neg, A.shape[0] - neg
-
-
-def sym_inverse(M) -> np.ndarray:
-    """Inverse of a complex square matrix, verified by its round trip."""
-    A = as_square_complex(M)
-    try:
-        X = np.linalg.inv(A)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrix(str(exc)) from exc
-    resid = np.max(np.abs(A @ X - np.eye(A.shape[0])))
-    if not np.isfinite(resid) or resid > TOL_LINALG:
-        raise SingularMatrix("round-trip residual %g exceeds %g" % (resid, TOL_LINALG))
-    return X
 
 
 def principal_sqrt_det(M) -> complex:

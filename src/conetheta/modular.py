@@ -49,6 +49,13 @@ def omega_transform(g: ModularElement, omega) -> np.ndarray:
     return (out + out.T) / 2
 
 
+def round_trip_residual(g: ModularElement, omega, og) -> float:
+    """Max-norm distance of (A og + B)(C og + D)^{-1}, the inverse
+    transform of og = omega_transform(g, omega), from omega."""
+    back = (g.A.astype(complex) @ og + g.B) @ np.linalg.inv(g.C.astype(complex) @ og + g.D)
+    return float(np.max(np.abs(back - omega)))
+
+
 @dataclass(frozen=True)
 class ModularImage(Family):
     """Image f^g of a family under the group action:
@@ -111,8 +118,8 @@ def contour_integrand(y: complex, z: complex, tau: complex, nshift: int) -> comp
     )
 
 
-def _panel_quadrature(f, lo: float, hi: float, panels: int, nodes: int = 16) -> complex:
-    x, w = leggauss(nodes)
+def _panel_quadrature(f, lo: float, hi: float, panels: int) -> complex:
+    x, w = leggauss(16)  # Gauss-Legendre nodes per panel
     vals = []
     width = (hi - lo) / panels
     for p in range(panels):

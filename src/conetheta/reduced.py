@@ -16,6 +16,7 @@ functional.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -60,11 +61,6 @@ class CoefficientArray:
         for p, v in other.values.items():
             out[p] = out.get(p, 0) + v
         return CoefficientArray(self.k, self.w, out)
-
-    def widen(self, new_w: int) -> "CoefficientArray":
-        if new_w < self.w:
-            raise WindowOverflow("cannot shrink a window")
-        return CoefficientArray(self.k, new_w, dict(self.values))
 
 
 def shift_delta(a: CoefficientArray, q: int) -> CoefficientArray:
@@ -183,10 +179,9 @@ def _differential_rows(k: int, w: int, p: int) -> list[dict]:
 
 
 def component_dimension(k: int, w: int, p: int) -> int:
-    return sum(
-        len(_component_points(k, w, frozenset(s)))
-        for s in itertools.combinations(range(k), p)
-    )
+    """Number of points in the degree-p components: comb(k, p) windows, each
+    with p full directions and k - p with headroom."""
+    return math.comb(k, p) * (2 * w + 1) ** p * (2 * w) ** (k - p)
 
 
 def cohomology_ranks(k: int, w: int) -> list[int]:

@@ -1,6 +1,6 @@
 """JSON wire formats: complex numbers as {"re", "im"}, matrices as
-row-major nested arrays, plus records for bases, group elements, chains and
-problem instances.  All floats are IEEE doubles serialised by repr, so a
+row-major nested arrays, plus records for bases, group elements and problem
+instances.  All floats are IEEE doubles serialised by repr, so a
 given instance always produces byte-identical output.
 """
 
@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ValidationError
-from .koszul import GroupRingElement, KoszulChain
+from .intmat import to_int64
 from .lattice import ConeSpec, ModularElement, SplitBasis
 from .linalg import check_symmetric, signature
 from .theta import Characteristic, ThetaValue
@@ -54,13 +54,15 @@ def int_matrix_to_json(M) -> list:
 
 
 def json_to_int_matrix(rows) -> np.ndarray:
-    try:
-        M = np.array(rows, dtype=np.int64)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError("malformed integer matrix payload") from exc
+    """A list of rows of integral JSON scalars (see json_to_int) as an int64
+    matrix; a fractional, non-finite or non-numeric entry, or one beyond
+    int64, is a ValidationError rather than a truncation."""
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValidationError("integer matrix payload is not a list of rows")
+    M = np.array([[json_to_int(x, "matrix entry") for x in row] for row in rows], dtype=object)
     if M.ndim != 2:
         raise ValidationError("integer matrix payload is not 2-dimensional")
-    return M
+    return to_int64(M)
 
 
 def json_to_int(value, name: str) -> int:
@@ -93,42 +95,11 @@ def json_to_basis(d) -> SplitBasis:
         raise ValidationError("malformed basis payload") from exc
 
 
-def modular_to_json(g: ModularElement) -> dict:
-    return {name: int_matrix_to_json(getattr(g, name)) for name in "ABCD"}
-
-
 def json_to_modular(d) -> ModularElement:
     try:
         return ModularElement(*(json_to_int_matrix(d[name]) for name in "ABCD"))
     except (KeyError, TypeError) as exc:
         raise ValidationError("malformed modular element payload") from exc
-
-
-def chain_to_json(chain: KoszulChain) -> dict:
-    comps = []
-    for subset in sorted(chain.components):
-        gre = chain.components[subset]
-        comps.append(
-            {
-                "subset": list(subset),
-                "terms": [
-                    {"exp": list(exp), "coef": coef}
-                    for exp, coef in sorted(gre.terms.items())
-                ],
-            }
-        )
-    return {"degree": chain.degree, "components": comps}
-
-
-def json_to_chain(d, rank: int) -> KoszulChain:
-    try:
-        comps = {}
-        for rec in d["components"]:
-            terms = {tuple(t["exp"]): int(t["coef"]) for t in rec["terms"]}
-            comps[tuple(rec["subset"])] = GroupRingElement(rank, terms)
-        return KoszulChain(rank, int(d["degree"]), comps)
-    except (KeyError, TypeError) as exc:
-        raise ValidationError("malformed chain payload") from exc
 
 
 def check_tolerance(name: str, value) -> float:
@@ -143,11 +114,9 @@ def check_tolerance(name: str, value) -> float:
     return tol
 
 
-def theta_value_to_json(tv: ThetaValue, radius_used: float | None = None) -> dict:
-    out = {"value": complex_to_json(tv.value), "tail": float(tv.tail)}
-    if radius_used is not None:
-        out["radius_used"] = float(radius_used)
-    return out
+def theta_value_to_json(tv: ThetaValue, radius_used: float) -> dict:
+    value = complex_to_json(tv.value)
+    return {"value": value, "tail": float(tv.tail), "radius_used": float(radius_used)}
 
 
 @dataclass
@@ -201,6 +170,8 @@ def parse_instance(payload: dict) -> ProblemInstance:
         inst.basis = json_to_basis(payload["basis"])
         if inst.basis.n != n:
             raise ValidationError("basis dimension does not match n")
+        if inst.basis.k != k:
+            raise ValidationError("basis k does not match the instance k")
     if "g" in payload and payload["g"] is not None:
         inst.g = json_to_modular(payload["g"])
         if inst.g.n != n:
@@ -216,7 +187,7 @@ def parse_instance(payload: dict) -> ProblemInstance:
     if "cone" in payload and payload["cone"] is not None:
         rec = payload["cone"]
         try:
-            gens = np.array(rec["generators"], dtype=np.int64).T  # rows in JSON
+            gens = json_to_int_matrix(rec["generators"]).T  # rows in JSON
             shift = tuple(Fraction(x) for x in rec.get("shift", [0] * n))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError("malformed cone payload") from exc

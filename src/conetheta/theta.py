@@ -35,9 +35,6 @@ from .rng import DEFAULT_SEED, SplitMix64
 #: default absolute tolerance for truncated sums
 DEFAULT_TOL = 1e-10
 
-#: default tolerance for cocycle residual checks
-DEFAULT_TOL_COCYCLE = 1e-8
-
 _MAX_RADIUS = 64.0
 
 #: first wedge cutoff, and the cutoff past which doubling gives up
@@ -282,12 +279,11 @@ class ConeSum(Family):
 @dataclass(frozen=True)
 class WedgeSum(Family):
     """Signed sum over the wedge between a positive cone and its image under
-    the unit shear at ``index``; the truncation is judged by comparing
-    consecutive doubled cutoffs, and the reported tail is their difference
-    (an estimate, not a bound)."""
+    the unit shear at the basis splitting index; the truncation is judged by
+    comparing consecutive doubled cutoffs, and the reported tail is their
+    difference (an estimate, not a bound)."""
 
     basis: SplitBasis
-    index: int
     tol: float = DEFAULT_TOL
 
     def value_tail(self, omega, Z):
@@ -296,7 +292,7 @@ class WedgeSum(Family):
         Q = omega.imag
 
         def partial(R: int) -> complex:
-            pts = enumerate_wedge(self.basis, self.index, Q, R)
+            pts = enumerate_wedge(self.basis, Q, R)
             K = np.array([K for K, _ in pts], dtype=float).reshape(-1, self.basis.n)
             signs = np.array([sign for _, sign in pts], dtype=float)
             return complex_fsum(signs * theta_terms(K, Z, omega))
@@ -318,7 +314,9 @@ class WedgeSum(Family):
 class LambdaShifted(Family):
     """Image of a family under the lattice action of the pair (M, N):
 
-        f(Z) -> exp(2 pi i tN Z + pi i tN omega N) f(Z + M + omega N).
+        f(Z) -> exp(pi i tN omega N + 2 pi i tN Z) f(Z + M + omega N),
+
+    whose prefactor is the theta term of N.
 
     ``mvec`` holds the translation already twisted by the type (Delta M).
     Prefactors and the argument shift are stored symbolically and applied
@@ -334,7 +332,7 @@ class LambdaShifted(Family):
         Z = np.asarray(Z, dtype=complex)
         M = np.array(self.mvec, dtype=float)
         N = np.array(self.nvec, dtype=float)
-        pref = cmath.exp(1j * math.pi * (2.0 * (N @ Z) + N @ omega @ N))
+        pref = theta_term(N, Z, omega)
         v, t = self.inner.value_tail(omega, Z + M + omega @ N)
         return pref * v, abs(pref) * t
 
@@ -371,7 +369,7 @@ def lambda_action(Mvec, Nvec, f: Evaluator, delta=None) -> Evaluator:
 def wedge_function(basis: SplitBasis, omega, tol: float = DEFAULT_TOL) -> Evaluator:
     """Evaluator of the signed wedge sum attached to the unit shear at the
     basis splitting index."""
-    return Evaluator(WedgeSum(basis, basis.k, tol), np.asarray(omega, dtype=complex))
+    return Evaluator(WedgeSum(basis, tol), np.asarray(omega, dtype=complex))
 
 
 def sample_points(n: int, count: int = 5, seed: int = DEFAULT_SEED) -> list[np.ndarray]:

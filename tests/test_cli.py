@@ -8,14 +8,11 @@ import pytest
 from conetheta.cli import main
 from conetheta.serialize import (
     basis_to_json,
+    int_matrix_to_json,
     json_to_basis,
-    json_to_chain,
-    chain_to_json,
     json_to_modular,
-    modular_to_json,
     parse_instance,
 )
-from conetheta.koszul import GroupRingElement, KoszulChain
 from conetheta.lattice import ModularElement, SplitBasis
 
 
@@ -153,6 +150,50 @@ def test_verify_accepts_integral_floats(tmp_path, capsys):
     payload["basis"]["k"] = 1.0
     assert main(["verify", "--instance", write(tmp_path, "b.json", payload), "--suite", "cocycle"]) == 0
     assert capsys.readouterr().out == plain
+
+
+def test_verify_rejects_basis_k_other_than_instance_k(tmp_path):
+    # with basis k = 0, verify --suite all skipped cocycle, heat and wedge
+    # and passed
+    payload = _readme_basis_instance()
+    payload["basis"]["k"] = 0
+    assert main(["verify", "--instance", write(tmp_path, "i.json", payload), "--suite", "all"]) == 2
+
+
+#: per integer-matrix field: the command that reads it, the path to one
+#: entry of the README instance and that entry's value
+_MATRIX_ENTRIES = {
+    "cone": (["eval"], ("cone", "generators", 0, 1), 1),
+    "basis": (["verify", "--suite", "cocycle"], ("basis", "N", 0, 0), 1),
+    "g": (["transform"], ("g", "B", 0, 0), 2),
+}
+
+
+@pytest.mark.parametrize("field", sorted(_MATRIX_ENTRIES))
+def test_integer_matrix_entries_are_checked(tmp_path, capsys, field):
+    # a fractional entry was truncated (1.7 read as 1) and the command exited 0
+    command, path, plain = _MATRIX_ENTRIES[field]
+    payload = _readme_basis_instance()
+    eye = [[1, 0], [0, 1]]
+    payload["g"] = {"A": eye, "B": [[2, 1], [1, 0]], "C": [[0, 0], [0, 0]], "D": eye}
+    payload["cone"] = {"generators": [[0, 1]], "shift": ["0", "0"]}
+    record = payload
+    for key in path[:-1]:
+        record = record[key]
+    record[path[-1]] = "@"
+
+    def run(value):
+        p = tmp_path / "i.json"
+        p.write_text(json.dumps(payload).replace('"@"', value))
+        code = main([command[0], "--instance", str(p), *command[1:]])
+        return code, capsys.readouterr().out
+
+    want = run(str(plain))
+    assert want[0] == 0
+    for same in ("%d.0" % plain, '"%d"' % plain):
+        assert run(same) == want
+    for bad in ("%d.7" % plain, "%d.5" % plain, "1e400", '"x"', str(2**63)):
+        assert run(bad)[0] == 2, bad
 
 
 @pytest.mark.parametrize("radius", ["abc", None])
@@ -415,12 +456,5 @@ def test_basis_round_trip():
 
 def test_modular_round_trip():
     g = ModularElement.identity(2)
-    assert json_to_modular(modular_to_json(g)).matrix().tolist() == g.matrix().tolist()
-
-
-def test_chain_round_trip():
-    chain = KoszulChain(
-        4, 2, {(0, 2): GroupRingElement(4, {(1, 0, -2, 0): 3, (0, 0, 0, 0): -1})}
-    )
-    back = json_to_chain(chain_to_json(chain), 4)
-    assert back == chain
+    payload = {name: int_matrix_to_json(getattr(g, name)) for name in "ABCD"}
+    assert json_to_modular(payload).matrix().tolist() == g.matrix().tolist()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conetheta.errors import DegenerateForm, ShapeMismatch, SingularMatrix
-from conetheta.linalg import principal_sqrt_det, signature, sym_inverse
+from conetheta.linalg import principal_sqrt_det, signature
 
 
 def test_signature_diagonal():
@@ -46,33 +46,6 @@ def test_signature_congruence_invariant(data):
             S[i, j] = rng.integers(-2, 3)
             R = R @ S
     assert signature(R.T @ Q @ R) == signature(Q)
-
-
-def test_sym_inverse_identity():
-    assert np.allclose(sym_inverse(np.eye(2)), np.eye(2))
-
-
-def test_sym_inverse_diagonal():
-    X = sym_inverse(np.diag([1j, 2j]))
-    assert np.allclose(X, np.diag([-1j, -0.5j]))
-
-
-def test_sym_inverse_adjugate_example():
-    M = np.array([[1.0, 1j], [1j, 1.0]])
-    expected = 0.5 * np.array([[1.0, -1j], [-1j, 1.0]])
-    assert np.allclose(sym_inverse(M), expected, atol=1e-14)
-
-
-def test_sym_inverse_singular():
-    with pytest.raises(SingularMatrix):
-        sym_inverse(np.array([[1.0, 1.0], [1.0, 1.0]]))
-
-
-def test_sym_inverse_round_trip():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        M = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) + 3 * np.eye(4)
-        assert np.max(np.abs(M @ sym_inverse(M) - np.eye(4))) < 1e-10
 
 
 def test_principal_sqrt_det_identity():

@@ -86,6 +86,17 @@ def test_cone_sum_radius_overflow():
         fam.evaluate(OM1, Z0)
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.parametrize("integer_part", [10**30, 3**80, 10**200])
+def test_cone_sum_large_library_shift(integer_part):
+    # one exact move leaves the rounding error of float(shift) behind, so
+    # shifts beyond about 2**100 need more moves (10**200 + 1/3 needs 9)
+    want = ConeSum(ConeSpec([[1]], (Fraction(1, 3),)), 1e-10).evaluate(OM1, Z0)
+    got = ConeSum(ConeSpec([[1]], (integer_part + Fraction(1, 3),)), 1e-10).evaluate(OM1, Z0)
+    assert got == want
+    assert abs(got[0] - 0.956782594394922) < 1e-12
+
+
 def test_cone_sum_matches_brute_at_random_points():
     for Z in sample_points(1, 5):
         tv = cone_sum(Z, OM1, FULL1, 1e-12)
