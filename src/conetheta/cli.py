@@ -234,7 +234,7 @@ def suite_modular_case1(inst: ProblemInstance) -> VerificationReport:
             "block_diagonal_%d" % idx,
             not np.any(cols[n:, :n]) and not np.any(cols[:n, n:]),
         )
-        rep.add_exact("chain_map_%d" % idx, verify_chain_map(S, n, 2))
+        rep.add_exact("chain_map_%d" % idx, verify_chain_map(S))
     # top-coefficient identities for the structural types
     top = tuple(range(max(inst.k, 1)))
     Sia = type_Ia(mats[0])
@@ -362,7 +362,7 @@ def suite_koszul(inst: ProblemInstance) -> VerificationReport:
     ok_words = True
     for _ in range(50):
         S = random_type_word(n, 1, rng.next_int(1, 3), rng)
-        if not verify_chain_map(S, n, 2):
+        if not verify_chain_map(S):
             ok_words = False
     rep.add_exact("chain_map_50_words", ok_words)
     # the three structural identities

@@ -204,7 +204,11 @@ class ConeSpec:
         return int(self.generators.shape[1])
 
     def shift_float(self) -> np.ndarray:
-        return np.array([float(s) for s in self.shift])
+        """The shift in doubles; ValidationError if an entry does not fit one."""
+        try:
+            return np.array([float(s) for s in self.shift])
+        except OverflowError:
+            raise ValidationError("cone shift entry beyond the double range") from None
 
     def with_extra_shift(self, extra) -> "ConeSpec":
         """The same cone shifted by ``extra``; the generators are not checked

@@ -458,3 +458,68 @@ def test_modular_round_trip():
     g = ModularElement.identity(2)
     payload = {name: int_matrix_to_json(getattr(g, name)) for name in "ABCD"}
     assert json_to_modular(payload).matrix().tolist() == g.matrix().tolist()
+
+
+#: the checks that verify --suite all reports on the README instance, in
+#: order; every one passes
+_README_CHECKS = {
+    "cocycle": ["c:N_2", "c:M_1", "c:M_2", "c^g:N_2", "c^g:M_1", "c^g:M_2"],
+    "heat": [
+        "termwise_max",
+        "fd_11",
+        "fd_12",
+        "fd_22",
+        "fd_scaling_factor_in_[2.5,6]",
+        "fd_transformed_11",
+        "fd_transformed_12",
+        "fd_transformed_22",
+        "fd_characteristic_11",
+        "fd_characteristic_12",
+        "fd_characteristic_22",
+    ],
+    "modular-case1": [
+        "%s_%d" % (check, idx)
+        for idx in range(3)
+        for check in ("symmetric", "signature_preserved", "round_trip", "block_diagonal", "chain_map")
+    ]
+    + ["type_Ia_top_coefficient_1", "type_Ib_top_coefficient_1"],
+    "modular-case2": ["omega_minus_B", "zeta_is_unit", "zeta_fit_residual", "pointwise_equality"]
+    + ["c^g:N_2", "c^g:M_1", "c^g:M_2"],
+    "wedge": ["shear_direction_identity", "next_direction_identity"],
+    "koszul": [
+        "d_squared_zero",
+        "telescope_reconstruction",
+        "chain_map_50_words",
+        "type_Ia_top_1",
+        "type_Ib_top_1",
+        "type_Ic_two_components",
+        "type_III_v_to_u",
+        "augmentation_kills_d",
+    ],
+    "reduced": ["betti_k1_w5", "betti_k2_w5", "betti_k1_stable", "betti_k2_stable"]
+    + ["shift_injective", "preimage_inverts_delta"],
+    "characteristics": ["class_count_det_delta", "classes_distinct"]
+    + ["twisted:N_2", "twisted:M_1", "twisted:M_2", "integral_shift_absorbed"],
+}
+
+
+def test_verify_all_reports_the_readme_check_list(tmp_path, capsys):
+    # a refactor that drops or renames a check fails here; residuals are
+    # left out, they depend on the platform
+    payload = _readme_basis_instance()
+    eye = [[1, 0], [0, 1]]
+    payload["g"] = {"A": eye, "B": [[2, 1], [1, 0]], "C": [[0, 0], [0, 0]], "D": eye}
+    payload["cone"] = {"generators": [[0, 1]], "shift": ["0", "0"]}
+    payload["tolerances"] = {"sum": 1e-10, "identity": 1e-8, "fd": 1e-6}
+    payload["seed"] = 32378
+    assert main(["verify", "--instance", write(tmp_path, "i.json", payload), "--suite", "all"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    triples = [
+        (suite["suite"], check["name"], check["pass"])
+        for suite in report["suites"]
+        for check in suite.get("checks", [])
+    ]
+    assert triples == [(suite, name, True) for suite, names in _README_CHECKS.items() for name in names]
+    skipped = {suite["suite"]: suite["skipped"] for suite in report["suites"] if "skipped" in suite}
+    assert skipped == {"modular-case3-1d": "suite requires n = 1"}
+    assert report["pass"]

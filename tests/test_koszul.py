@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conetheta import koszul
-from conetheta.errors import NotSymplectic, ShapeMismatch
+from conetheta.errors import NotSymplectic, ShapeMismatch, ValidationError
 from conetheta.koszul import (
     ChainMap,
     GroupRingElement,
@@ -245,7 +247,7 @@ def test_chain_map_matches_s_star_and_checks_rank():
 
 def test_verify_chain_map_rejects_nonsymplectic():
     with pytest.raises(NotSymplectic):
-        verify_chain_map(np.eye(RANK, dtype=np.int64) * 2, 2, 2)
+        verify_chain_map(np.eye(RANK, dtype=np.int64) * 2)
 
 
 def test_verify_chain_map_builds_one_chain_map(monkeypatch):
@@ -263,25 +265,25 @@ def test_verify_chain_map_builds_one_chain_map(monkeypatch):
     counted("is_symplectic")
     counted("telescope_decompose")
     S = random_type_word(2, 1, 3, SplitMix64(2024))
-    assert verify_chain_map(S, 2, 2)
+    assert verify_chain_map(S)
     assert calls == {"is_symplectic": 1, "telescope_decompose": RANK}
 
 
 def test_verify_chain_map_identity():
-    assert verify_chain_map(np.eye(RANK, dtype=np.int64), 2, 2)
+    assert verify_chain_map(np.eye(RANK, dtype=np.int64))
 
 
 def test_verify_chain_map_type_II_conjugated():
     B = np.array([[2, 1], [1, 0]])
     S = type_II(B)
-    assert verify_chain_map(S, 2, 2)
+    assert verify_chain_map(S)
 
 
 def test_verify_chain_map_random_words():
     rng = SplitMix64(31337)
     for _ in range(20):
         S = random_type_word(2, 1, rng.next_int(1, 3), rng)
-        assert verify_chain_map(S, 2, 2)
+        assert verify_chain_map(S)
 
 
 def test_verify_chain_map_any_peel_order():
@@ -289,4 +291,75 @@ def test_verify_chain_map_any_peel_order():
     for order in [(1, 0, 2, 3), (3, 2, 1, 0), (2, 0, 3, 1)]:
         for _ in range(5):
             S = random_type_word(2, 1, 2, rng)
-            assert verify_chain_map(S, 2, 2, basis_order=order)
+            assert verify_chain_map(S, basis_order=order)
+
+
+def test_verify_chain_map_detects_a_wrong_decomposition(monkeypatch):
+    # one unit monomial too many in R_0 breaks x - 1 = sum_j R_j (x'_j - 1)
+    original = koszul.telescope_decompose
+
+    def wrong(exp, basis_order=None):
+        R = original(exp, basis_order)
+        R[0] = R[0] + GroupRingElement.one(len(R))
+        return R
+
+    monkeypatch.setattr(koszul, "telescope_decompose", wrong)
+    assert not verify_chain_map(random_type_word(2, 1, 3, SplitMix64(2024)))
+
+
+def test_random_type_word_raises_instead_of_wrapping():
+    # 300 steps reach entries beyond int64; the product wrapped silently
+    with pytest.raises(ValidationError):
+        random_type_word(2, 1, 300, SplitMix64(1))
+
+
+def _gr_det(mat, rank):
+    """Determinant over the group ring by cofactor expansion along row 0,
+    skipping zero entries."""
+    if not mat:
+        return GroupRingElement.one(rank)
+    out = GroupRingElement.zero(rank)
+    for j in range(len(mat)):
+        if mat[0][j].is_zero():
+            continue
+        minor = [row[:j] + row[j + 1 :] for row in mat[1:]]
+        term = mat[0][j] * _gr_det(minor, rank)
+        out = out + (term if j % 2 == 0 else -term)
+    return out
+
+
+def _minors_form(S, subset, order):
+    """s_*(1 (x) w_P) in its minors form: the sum over increasing T of
+    det(R_PT) (x) w_T, with row p of R telescope_decompose of column p of S."""
+    rank = len(S)
+    R = [telescope_decompose(S[:, p], order) for p in range(rank)]
+    minors = {
+        T: _gr_det([[R[p][t] for t in T] for p in subset], rank)
+        for T in itertools.combinations(range(rank), len(subset))
+    }
+    return KoszulChain(rank, len(subset), minors)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_chain_map_is_the_minors_form(n):
+    # the wedge products of the degree-1 images are the minors of R, on
+    # every generator of every degree and on a chain with several components
+    rank = 2 * n
+    rng = SplitMix64(7 + n)
+    orders = [tuple(range(rank)), tuple(reversed(range(rank))), (1, 0) + tuple(range(2, rank))]
+    for _ in range(20):
+        S = random_type_word(n, rng.next_int(1, n), rng.next_int(1, 3), rng)
+        for order in orders:
+            s_map = ChainMap(S, order)
+            for deg in range(rank + 1):
+                chain, expected = {}, KoszulChain(rank, deg)
+                for i, subset in enumerate(itertools.combinations(range(rank), deg)):
+                    gen = KoszulChain.generator(rank, subset)
+                    image = _minors_form(S, subset, order)
+                    assert s_map(gen) == image
+                    # coefficient x_0 - i - 2, never zero
+                    coef = GroupRingElement(rank, {(1,) + (0,) * (rank - 1): 1, (0,) * rank: -i - 2})
+                    chain[subset] = coef
+                    scaled = {t: coef * c for t, c in image.components.items()}
+                    expected = expected + KoszulChain(rank, deg, scaled)
+                assert s_map(KoszulChain(rank, deg, chain)) == expected

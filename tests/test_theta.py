@@ -10,7 +10,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conetheta import intmat, lattice
-from conetheta.errors import BadCharacteristic, NonPositiveRestriction, RadiusOverflow
+from conetheta.errors import (
+    BadCharacteristic,
+    NonPositiveRestriction,
+    RadiusOverflow,
+    ValidationError,
+)
 from conetheta.lattice import ConeForm, ConeSpec, SplitBasis, enumerate_cone
 from conetheta.rng import SplitMix64
 from conetheta.theta import (
@@ -95,6 +100,15 @@ def test_cone_sum_large_library_shift(integer_part):
     got = ConeSum(ConeSpec([[1]], (integer_part + Fraction(1, 3),)), 1e-10).evaluate(OM1, Z0)
     assert got == want
     assert abs(got[0] - 0.956782594394922) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "generators", [[[1]], np.zeros((1, 0), dtype=np.int64)], ids=["rank1", "rank0"]
+)
+def test_cone_sum_rejects_shift_beyond_double(generators):
+    # float(10**400) raised OverflowError, in ConeForm and on the rank-0 path
+    with pytest.raises(ValidationError):
+        ConeSum(ConeSpec(generators, (10**400,)), 1e-10).evaluate(OM1, Z0)
 
 
 def test_cone_sum_matches_brute_at_random_points():
