@@ -50,12 +50,15 @@ from .koszul import (
     x_minus_one,
 )
 from .lattice import (
+    ConeForm,
     ConeSpec,
     ModularElement,
     SplitBasis,
+    enumerate_cone,
     find_split_basis,
     is_gamma12,
     transform_basis,
+    wedge_cones,
 )
 from .linalg import principal_sqrt_det, signature
 from .modular import (
@@ -179,14 +182,14 @@ def suite_heat(inst: ProblemInstance) -> VerificationReport:
     tol_fd = inst.tol("fd", TOL_FD)
     n = inst.n
     pairs = list(itertools.combinations_with_replacement(range(1, n + 1), 2))
-    kmax = 5
-    grid = np.array(list(itertools.product(range(-kmax, kmax + 1), repeat=n)), dtype=float)
-    residuals = [heat_term_residual(grid, inst.omega, i, j) for i, j in pairs]
-    rep.add("termwise_max", float(np.max(residuals)), tol_term)
-
     basis, cone = _positive_cone(inst)
     fam = ConeSum(cone, 1e-13)
     Z = np.full(n, 0.2 + 0.05j, dtype=complex)
+    # the termwise identity on the points the fd family's sum enumerates
+    _, _, radius = fam.evaluate(inst.omega, Z)
+    points = enumerate_cone(ConeForm(cone, inst.omega.imag), radius)
+    residuals = [heat_term_residual(points, inst.omega, i, j) for i, j in pairs]
+    rep.add("termwise_max", float(np.max(residuals)), tol_term)
 
     def add_fd(prefix: str, family) -> None:
         for i, j in pairs:
@@ -304,14 +307,9 @@ def suite_wedge(inst: ProblemInstance) -> VerificationReport:
     tol = inst.tol("identity", TOL_IDENTITY)
     basis, cone = _positive_cone(inst)
     f = wedge_function(basis, inst.omega, tol=1e-12)
-    idx = basis.k
-    plain_gens = basis.N[:, idx:]
-    trans_gens = plain_gens.copy()
-    trans_gens[:, 0] -= basis.N[:, idx - 1]
-    e_plain = Evaluator(ConeSum(ConeSpec(plain_gens, (0,) * inst.n), 1e-12), inst.omega)
-    e_trans = Evaluator(ConeSum(ConeSpec(trans_gens, (0,) * inst.n), 1e-12), inst.omega)
-    shear = tuple(int(x) for x in basis.N[:, idx - 1])
-    after = tuple(int(x) for x in basis.N[:, idx])
+    e_plain, e_trans = (Evaluator(ConeSum(c, 1e-12), inst.omega) for c in wedge_cones(basis))
+    shear = tuple(int(x) for x in basis.N[:, basis.k - 1])
+    after = tuple(int(x) for x in basis.N[:, basis.k])
     worst1 = worst2 = 0.0
     for Z in sample_points(inst.n, 5, inst.seed):
         base = f(Z).value

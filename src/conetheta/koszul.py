@@ -319,16 +319,15 @@ def type_Ia(A) -> np.ndarray:
 
 
 def type_Ib(n: int, k: int) -> np.ndarray:
-    """Unit shear adding generator k to generator k-1 (1-based), acting
-    inside the first half."""
-    A = np.eye(n, dtype=np.int64)
-    if k >= 2:
-        A[k - 2, k - 1] = 1
-    return _block_diag_symplectic(A)
+    """Unit shear adding generator k to generator k-1 (1-based), 2 <= k <= n."""
+    return type_Ic(n, k - 1)
 
 
 def type_Ic(n: int, k: int) -> np.ndarray:
-    """Unit shear adding generator k+1 to generator k (1-based)."""
+    """Unit shear adding generator k+1 to generator k (1-based), acting inside
+    the first half; ShapeMismatch unless 1 <= k <= n-1."""
+    if not (1 <= k <= n - 1):
+        raise ShapeMismatch("shear index out of range")
     A = np.eye(n, dtype=np.int64)
     A[k - 1, k] = 1
     return _block_diag_symplectic(A)

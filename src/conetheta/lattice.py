@@ -23,7 +23,6 @@ from .errors import (
     NonPositiveRestriction,
     NotFound,
     NotGamma12,
-    NotSplitAfterTransform,
     NotSymplectic,
     ShapeMismatch,
     SignatureMismatch,
@@ -43,17 +42,14 @@ from .linalg import as_real_symmetric, signature
 _POS_EIG_TOL = 1e-10
 
 
-def _is_positive_definite(A: np.ndarray) -> bool:
-    if A.shape[0] == 0:
-        return True
-    eig = np.linalg.eigvalsh((A + A.T) / 2)
-    return bool(np.min(eig) > _POS_EIG_TOL * max(1.0, float(np.max(np.abs(eig)))))
-
-
 def _is_positive_on(Q: np.ndarray, B: np.ndarray) -> bool:
     """True iff the form Q is positive definite on the columns of B."""
+    if B.shape[1] == 0:
+        return True
     Bf = B.astype(float)
-    return _is_positive_definite(Bf.T @ Q @ Bf)
+    A = Bf.T @ Q @ Bf
+    eig = np.linalg.eigvalsh((A + A.T) / 2)
+    return bool(np.min(eig) > _POS_EIG_TOL * max(1.0, float(np.max(np.abs(eig)))))
 
 
 @dataclass(frozen=True)
@@ -427,44 +423,39 @@ def enumerate_cone(form: ConeForm, radius: float) -> np.ndarray:
     return K[np.lexsort(tuple(K[:, j] for j in range(n - 1, -1, -1)) + (norm,))]
 
 
-def enumerate_wedge(basis: SplitBasis, Q, radius) -> list[tuple[np.ndarray, int]]:
-    """Signed lattice points realising the difference of the two families of
-    shifted positive cones attached to the unipotent basis change
-    N_{idx+1} -> N_{idx+1} - N_idx at the splitting index idx = basis.k.
-
-    Write a point as K = t N_idx + sum_i c_i N_{idx+1+i} and truncate to the
-    window |t|, |c_i| <= R = floor(radius).  The sheared family covers
-    t >= -c_0 and the plain family t >= 0, so inside the window the net sign
-    is [t >= -c_0] - [t >= 0]: +1 for c_0 >= 1, -c_0 <= t <= -1 and -1 for
-    c_0 <= -1, 0 <= t <= -c_0 - 1.  The region is generated in that closed
-    form and returned as (K, sign) pairs in no particular order.
-    """
-    Q = as_real_symmetric(Q)
-    idx = basis.k
-    n = basis.n
-    if not (1 <= idx <= n - 1):
+def wedge_cones(basis: SplitBasis) -> tuple[ConeSpec, ConeSpec]:
+    """The wedge's unshifted plain cone N_{k+1}..N_n (k = basis.k) and its
+    image under the shear N_{k+1} -> N_{k+1} - N_k; ShapeMismatch unless 0 < k < n."""
+    k, n = basis.k, basis.n
+    if not (1 <= k <= n - 1):
         raise ShapeMismatch("unipotent index out of range")
-    shift_dir = basis.N[:, idx - 1]
-    plain = basis.N[:, idx:]
-    transformed = plain.copy()
-    transformed[:, 0] -= shift_dir
-    for label, gens in (("original", plain), ("transformed", transformed)):
-        if not _is_positive_on(Q, gens):
-            raise NotSplitAfterTransform("%s cone is not positive for the form" % label)
+    plain = basis.N[:, k:]
+    sheared = plain.copy()
+    sheared[:, 0] = to_int64(exact(plain[:, 0]) - exact(basis.N[:, k - 1]))
+    return ConeSpec(plain, (0,) * n), ConeSpec(sheared, (0,) * n)
 
-    R = int(np.floor(radius))
-    if R < 0:
-        return []
-    m = plain.shape[1]
-    c = np.indices((2 * R + 1,) * m).reshape(m, -1).T - R  # the coefficient window
+
+def enumerate_wedge(basis: SplitBasis, forms, radius: float) -> np.ndarray:
+    """The wedge points K = t N_k + sum_i c_i N_{k+1+i}, k = basis.k, whose
+    c = (tM K)[k:] lies in either ellipsoid of the given radius of ``forms``
+    (the factored wedge_cones), as the rows of a (points, n) integer array.
+
+    The sheared family covers t >= -c_0 and the plain family t >= 0, so the
+    net sign is [t >= -c_0] - [t >= 0] = sign(c_0) = sign(tK M_{k+1}) on
+    the |c_0| points -c_0 <= t <= -1 (c_0 >= 1) or 0 <= t <= -c_0 - 1
+    (c_0 <= -1), which are generated in closed form.
+    """
+    k, plain = basis.k, forms[0]
+    c_plain, c_sheared = (np.rint(enumerate_cone(f, radius) @ basis.M[:, k:]) for f in forms)
+    # the sheared c outside the plain ellipsoid, by enumerate_cone's own norm test
+    c_sheared = c_sheared[form_values(c_sheared @ plain.G.T, plain.Q) > radius**2]
+    c = np.vstack([c_plain, c_sheared]).astype(np.int64)
     counts = np.abs(c[:, 0])  # |c_0| values of t per coefficient vector
     parent = np.repeat(np.arange(len(c)), counts)
     step = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts, counts)
     c = c[parent]
-    positive = c[:, 0] > 0
-    t = np.where(positive, -c[:, 0], 0) + step
-    K = np.outer(t, shift_dir) + c @ plain.T
-    return list(zip(K, np.where(positive, 1, -1).tolist()))
+    t = np.where(c[:, 0] > 0, -c[:, 0], 0) + step
+    return np.outer(t, basis.N[:, k - 1]) + c @ basis.N[:, k:].T
 
 
 def transform_basis(g: ModularElement, basis: SplitBasis) -> tuple[np.ndarray, np.ndarray]:

@@ -15,12 +15,13 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import BadCharacteristic, RadiusOverflow, ShapeMismatch
+from .errors import BadCharacteristic, NonPositiveRestriction, NotSplitAfterTransform
+from .errors import RadiusOverflow, ShapeMismatch
 from .lattice import (
     ConeForm,
     ConeSpec,
@@ -28,6 +29,7 @@ from .lattice import (
     enumerate_cone,
     enumerate_wedge,
     form_values,
+    wedge_cones,
 )
 from .linalg import check_symmetric
 from .rng import DEFAULT_SEED, SplitMix64
@@ -36,10 +38,6 @@ from .rng import DEFAULT_SEED, SplitMix64
 DEFAULT_TOL = 1e-10
 
 _MAX_RADIUS = 64.0
-
-#: first wedge cutoff, and the cutoff past which doubling gives up
-_WEDGE_START = 6
-_WEDGE_MAX_CUT = 96
 
 
 def complex_fsum(values) -> complex:
@@ -129,14 +127,18 @@ def _drift(form: ConeForm, Z) -> tuple[float, float]:
     return abs(float(form.shift @ y)) + form.t_s * beta, beta
 
 
-def _shell_count(form: ConeForm, t: float) -> int:
-    """Bound on the number of cone points with sqrt(tK Q K) < t + 1."""
-    return (2 * math.floor((t + 1.0 + form.t_s) / math.sqrt(form.lam)) + 3) ** form.rank
+def _shell_count(form: ConeForm, t: float, weighted: bool) -> float:
+    """Bound on the number of cone points with sqrt(tK Q K) < t + 1, each
+    counted |c_0| times when ``weighted``."""
+    c_max = (t + 1.0 + form.t_s) / math.sqrt(form.lam)  # bounds every |c_i|
+    count = (2 * math.floor(c_max) + 3) ** form.rank
+    return count * c_max if weighted else count
 
 
-def tail_bound(form: ConeForm, Z, radius: float) -> float:
+def tail_bound(form: ConeForm, Z, radius: float, weighted: bool = False) -> float:
     """Upper bound for the sum of |Theta_K| over the points of the factored
-    cone excluded by the radius, i.e. those with tK Q K > radius**2.
+    cone excluded by the radius, i.e. those with tK Q K > radius**2; with
+    ``weighted``, each point K = s + G c counts |c_0| times (WedgeSum).
 
     Construction (all steps are inequalities, so the result is a true
     bound): write K = s + G c and t = sqrt(tK Q K).  With lam the smallest
@@ -146,7 +148,8 @@ def tail_bound(form: ConeForm, Z, radius: float) -> float:
         |tK y| <= alpha + beta t  with  beta = |tG y| / sqrt(lam),
         alpha = |ts y| + t_s beta,  t_s = sqrt(ts Q s);
       * the number of cone points with t <= T is at most
-        (2 floor((T + t_s)/sqrt(lam)) + 3)^m.
+        (2 floor((T + t_s)/sqrt(lam)) + 3)^m, and each has
+        |c_0| <= (T + t_s)/sqrt(lam).
 
     The tail is summed over unit shells [radius + j, radius + j + 1) with
     the shell count evaluated at the outer edge; the series is cut once a
@@ -163,7 +166,7 @@ def tail_bound(form: ConeForm, Z, radius: float) -> float:
     for j in range(0, 100000):
         t = radius + j
         log_term = (
-            math.log(_shell_count(form, t))
+            math.log(_shell_count(form, t, weighted))
             + 2.0 * math.pi * alpha
             - math.pi * t * t
             + 2.0 * math.pi * beta * t
@@ -188,7 +191,7 @@ def _on_grid(x: float) -> float:
     return math.ceil(x / _RADIUS_STEP) * _RADIUS_STEP
 
 
-def _first_shell_radius(form: ConeForm, Z, tol: float, max_radius: float) -> float:
+def _first_shell_radius(form: ConeForm, Z, tol: float, max_radius: float, weighted) -> float:
     """The smallest radius r >= beta + 1 on the grid whose first shell term
     of tail_bound, count(r) exp(2 pi alpha - pi r^2 + 2 pi beta r), is at
     most tol; a value above max_radius once none up to it qualifies.
@@ -203,12 +206,26 @@ def _first_shell_radius(form: ConeForm, Z, tol: float, max_radius: float) -> flo
     alpha, beta = _drift(form, Z)
     r = _on_grid(beta + 1.0)
     while r <= max_radius:
-        excess = math.log(_shell_count(form, r)) + 2.0 * math.pi * alpha - math.log(tol)
+        excess = math.log(_shell_count(form, r, weighted)) + 2.0 * math.pi * alpha - math.log(tol)
         nxt = _on_grid(beta + math.sqrt(max(beta * beta + excess / math.pi, 0.0)))
         if nxt <= r:
             break
         r = nxt
     return r
+
+
+def _solve_radius(forms, Z, tol: float, max_radius: float, weighted) -> tuple[float, float]:
+    """(radius, bound): the first grid radius, from the largest
+    _first_shell_radius of the forms up, at which their summed tail_bound is
+    at most tol, and that sum.  RadiusOverflow past max_radius."""
+    radius = max(_first_shell_radius(f, Z, tol, max_radius, weighted) for f in forms)
+    while True:
+        if radius > max_radius:
+            raise RadiusOverflow("radius %g exceeded without reaching tol %g" % (max_radius, tol))
+        bound = sum(tail_bound(f, Z, radius, weighted) for f in forms)
+        if bound <= tol:
+            return radius, bound
+        radius += _RADIUS_STEP
 
 
 # ---------------------------------------------------------------------------
@@ -258,16 +275,7 @@ class ConeSum(Family):
         if self.cone.rank == 0:
             return theta_term(self.cone.shift_float(), Z, omega), 0.0, 0.0
         form = ConeForm(self.cone, omega.imag)
-        radius = _first_shell_radius(form, Z, self.tol, self.max_radius)
-        while True:
-            if radius > self.max_radius:
-                raise RadiusOverflow(
-                    "radius %g exceeded without reaching tol %g" % (self.max_radius, self.tol)
-                )
-            bound = tail_bound(form, Z, radius)
-            if bound <= self.tol:
-                break
-            radius += _RADIUS_STEP
+        radius, bound = _solve_radius([form], Z, self.tol, self.max_radius, False)
         pts = enumerate_cone(form, radius)
         return complex_fsum(theta_terms(pts, Z, omega)), bound, radius
 
@@ -278,36 +286,40 @@ class ConeSum(Family):
 
 @dataclass(frozen=True)
 class WedgeSum(Family):
-    """Signed sum over the wedge between a positive cone and its image under
-    the unit shear at the basis splitting index; the truncation is judged by
-    comparing consecutive doubled cutoffs, and the reported tail is their
-    difference (an estimate, not a bound)."""
+    """Signed sum over the wedge of lattice.wedge_cones (built once, in
+    ``cones``) with a certified tail bound <= tol.
+
+    The |c_0| points of a coefficient vector c lie on the segment from P c
+    to T c (plain and sheared generators) along N_k.  As Q(N_k) <= 0, Q is
+    concave there and E(K) = -pi tK Q K - 2 pi tK y convex, so each
+    |Theta_K| = e^E(K) is at most max(e^E(P c), e^E(T c)).  The points with
+    c outside both ellipsoids Q(P c), Q(T c) <= r^2 are thus bounded by the
+    two cones' tail_bounds, each point counted |c_0| times; the radius is
+    solved as for ConeSum, up to _MAX_RADIUS.  NotSplitAfterTransform when
+    Q is not positive on both cones or Q(N_k) > 0.
+    """
 
     basis: SplitBasis
     tol: float = DEFAULT_TOL
+    cones: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "cones", wedge_cones(self.basis))
 
     def value_tail(self, omega, Z):
         omega = check_symmetric(omega)
         Z = np.asarray(Z, dtype=complex)
-        Q = omega.imag
-
-        def partial(R: int) -> complex:
-            pts = enumerate_wedge(self.basis, Q, R)
-            K = np.array([K for K, _ in pts], dtype=float).reshape(-1, self.basis.n)
-            signs = np.array([sign for _, sign in pts], dtype=float)
-            return complex_fsum(signs * theta_terms(K, Z, omega))
-
-        R = _WEDGE_START
-        prev = partial(R)
-        while True:
-            R *= 2
-            cur = partial(R)
-            change = abs(cur - prev)
-            if change < self.tol:
-                return cur, change
-            if R > _WEDGE_MAX_CUT:
-                raise RadiusOverflow("wedge cutoff %d exceeded" % _WEDGE_MAX_CUT)
-            prev = cur
+        Q, basis = omega.imag, self.basis
+        try:
+            forms = [ConeForm(cone, Q) for cone in self.cones]
+        except NonPositiveRestriction:
+            raise NotSplitAfterTransform("a wedge cone is not positive for the form") from None
+        shear = basis.N[:, basis.k - 1].astype(float)
+        if shear @ Q @ shear > 0:
+            raise NotSplitAfterTransform("the form is positive on the shear direction")
+        radius, bound = _solve_radius(forms, Z, self.tol, _MAX_RADIUS, True)
+        K = enumerate_wedge(basis, forms, radius)
+        return complex_fsum(np.sign(K @ basis.M[:, basis.k]) * theta_terms(K, Z, omega)), bound
 
 
 @dataclass(frozen=True)

@@ -313,6 +313,24 @@ def test_random_type_word_raises_instead_of_wrapping():
         random_type_word(2, 1, 300, SplitMix64(1))
 
 
+@pytest.mark.parametrize(
+    "make, n, k",
+    [(type_Ic, 2, 0), (type_Ic, 2, 2), (type_Ic, 1, 1), (type_Ib, 2, 1), (type_Ib, 2, 3),
+     (type_Ib, 1, 2)],
+)
+def test_shear_types_reject_an_index_out_of_range(make, n, k):
+    # type_Ic(2, 0) wrapped to A[-1, 0], a shear in the wrong direction; the
+    # others indexed past the block
+    with pytest.raises(ShapeMismatch):
+        make(n, k)
+
+
+def test_random_type_word_at_n1_rejects_its_shears():
+    # the first draw of seed 6 is a type Ic step, which has no index at n = 1
+    with pytest.raises(ShapeMismatch):
+        random_type_word(1, 1, 1, SplitMix64(6))
+
+
 def _gr_det(mat, rank):
     """Determinant over the group ring by cofactor expansion along row 0,
     skipping zero entries."""

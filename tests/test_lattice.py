@@ -1,4 +1,5 @@
 import itertools
+import math
 from collections import defaultdict
 from fractions import Fraction
 
@@ -22,8 +23,10 @@ from conetheta.lattice import (
     is_symplectic,
     random_gamma12,
     transform_basis,
+    wedge_cones,
 )
 from conetheta.rng import SplitMix64
+from conetheta.theta import WedgeSum, complex_fsum, sample_points, theta_terms
 
 
 def _g(A, B, C, D):
@@ -328,71 +331,144 @@ def test_enumerate_cone_matches_box_filter(case):
     assert got == _box_filter_cone(cone, Q, radius)
 
 
-def _wedge_multiset_oracle(basis, idx, R):
-    """Brute-force shell cancellation: every shell r = 0..2R along N_idx
-    counts the sheared cone family +1 and the plain family -1 at each point;
-    the nonzero counts whose coefficients in (N_idx, N_idx+1, ...) lie in
-    the window |.| <= R are kept."""
+def _wedge_forms(basis, Q):
+    return [ConeForm(cone, Q) for cone in wedge_cones(basis)]
+
+
+def _wedge_multiset_oracle(basis, Q, R):
+    """Brute-force shell cancellation: every shell r = 0..2B along N_k
+    counts the sheared cone family +1 and the plain family -1 at each point
+    whose coefficients lie in the box |.| <= B, where B bounds both
+    ellipsoids; the nonzero counts with |t| <= B whose coefficient vector c
+    lies in the union of the ellipsoids Q(plain c) <= R^2 and
+    Q(sheared c) <= R^2 are kept."""
+    idx = basis.k
     shift_dir = basis.N[:, idx - 1]
     plain = basis.N[:, idx:]
     sheared = plain.copy()
     sheared[:, 0] -= shift_dir
+    grams = [G.T @ Q @ G for G in (plain, sheared)]
+    B = int(R / math.sqrt(min(np.linalg.eigvalsh(A)[0] for A in grams)) + 1e-9)
     cnt = defaultdict(int)
-    for r in range(0, 2 * R + 1):
-        for c in itertools.product(range(-R, R + 1), repeat=plain.shape[1]):
+    for r in range(0, 2 * B + 1):
+        for c in itertools.product(range(-B, B + 1), repeat=plain.shape[1]):
             cnt[tuple(int(x) for x in r * shift_dir + sheared @ c)] += 1
             cnt[tuple(int(x) for x in r * shift_dir + plain @ c)] -= 1
-    coords = lambda p: basis.M.T @ np.array(p)  # tM N = I
-    return {
-        p: c
-        for p, c in cnt.items()
-        if c != 0 and np.max(np.abs(coords(p)[idx - 1:])) <= R
-    }
+
+    def kept(p):
+        coords = basis.M.T @ np.array(p)  # tM N = I
+        c = coords[idx:]
+        return abs(coords[idx - 1]) <= B and min(c @ A @ c for A in grams) <= R * R
+
+    return {p: s for p, s in cnt.items() if s != 0 and kept(p)}
 
 
-def _wedge_map(pts):
-    got = {tuple(int(x) for x in K): s for K, s in pts}
-    assert len(got) == len(pts)
+def _wedge_map(basis, K):
+    """{point: sign} of an enumerate_wedge result; the sign is sign(c_0)."""
+    signs = np.sign(K @ basis.M[:, basis.k])
+    got = {tuple(int(x) for x in p): int(s) for p, s in zip(K, signs)}
+    assert len(got) == len(K)
     return got
 
 
 def test_enumerate_wedge_matches_double_sum_oracle():
     basis = SplitBasis.identity(2, 1)
     Q = np.diag([-1.0, 2.0])
-    got = _wedge_map(enumerate_wedge(basis, Q, 7))
-    assert got == _wedge_multiset_oracle(basis, 1, 7)
+    got = _wedge_map(basis, enumerate_wedge(basis, _wedge_forms(basis, Q), 7))
+    assert got == _wedge_multiset_oracle(basis, Q, 7)
+
+
+def _wedge_gram(n, k, b):
+    """Integer Gram matrix, in the N coordinates, of a form split at k:
+    -1 on N_1..N_k, 4 on N_{k+1}..N_n, and b_j between N_k and N_{k+1+j}.
+    Both wedge cones are positive (the sheared Gram matrix has 3 - 2 b_0 >= 1
+    first), and for n - k >= 2 a nonzero b_1 makes their ellipsoids cross."""
+    G = np.diag([-1] * k + [4] * (n - k))
+    G[k - 1, k:] = G[k:, k - 1] = b[: n - k]
+    return G
 
 
 @st.composite
-def _unimodular_bases(draw):
-    N = _unimodular(draw, draw(st.integers(2, 4)), 8, 2)
-    return SplitBasis(N, unimodular_inverse(N).T, 1)
+def _wedge_bases(draw):
+    """(N, M, b): a random unimodular N with M = tN^-1 at n = 2..4, and the
+    couplings b of _wedge_gram; the form split at k is M G tM."""
+    N = _unimodular(draw, draw(st.integers(2, 4)), 6, 1)
+    return N, unimodular_inverse(N).T, draw(st.lists(st.integers(-1, 1), min_size=3, max_size=3))
 
 
-@settings(max_examples=60, deadline=None)
-@given(_unimodular_bases(), st.integers(0, 5))
-def test_enumerate_wedge_matches_oracle_on_random_bases(basis, R):
-    Q = np.eye(basis.n)  # positive on every cone; the region does not depend on Q
-    for idx in range(1, basis.n):
-        got = _wedge_map(enumerate_wedge(SplitBasis(basis.N, basis.M, idx), Q, R))
-        assert got == _wedge_multiset_oracle(basis, idx, R)
+@settings(max_examples=40, deadline=None)
+@given(_wedge_bases(), st.integers(0, 4))
+def test_enumerate_wedge_matches_oracle_on_random_bases(case, R):
+    N, M, b = case
+    for k in range(1, len(N)):
+        basis = SplitBasis(N, M, k)
+        Q = M @ _wedge_gram(len(N), k, b) @ M.T
+        got = _wedge_map(basis, enumerate_wedge(basis, _wedge_forms(basis, Q), R))
+        assert got == _wedge_multiset_oracle(basis, Q, R)
+
+
+def _wedge_box_sum(basis, omega, Z, B):
+    """The wedge sum over every (t, c) in the box |.| <= B, with
+    K = t N_k + sum_i c_i N_{k+1+i} and the sign [t >= -c_0] - [t >= 0] of
+    the two families, and a bound on the rounding of its terms."""
+    k, n = basis.k, basis.n
+    tc = np.indices((2 * B + 1,) * (n - k + 1)).reshape(n - k + 1, -1).T - B
+    sign = (tc[:, 0] >= -tc[:, 1]).astype(int) - (tc[:, 0] >= 0)
+    tc, sign = tc[sign != 0], sign[sign != 0]
+    K = (tc @ basis.N[:, k - 1:].T).astype(float)
+    terms = sign * theta_terms(K, Z, omega)
+    absK = np.abs(K)
+    phase_abs = math.pi * (form_values(absK, np.abs(omega)) + 2.0 * (absK @ np.abs(Z)))
+    return complex_fsum(terms), 64 * 2.0**-52 * float(np.sum((1.0 + phase_abs) * np.abs(terms)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    _wedge_bases(),
+    st.sampled_from([1e-2, 1e-6, 1e-10]),
+    st.integers(0, 2**31),
+    st.lists(st.integers(-1, 1), min_size=4, max_size=4),
+)
+def test_wedge_tail_is_certified(case, tol, seed, u):
+    """Every WedgeSum tail is a true bound, at a sample Z and at the
+    lambda-shifted Z + omega N u.
+
+    The bound rests on concavity: a coefficient vector c carries |c_0|
+    points on the segment from P c to T c (P, T the plain and sheared
+    generators), which moves along N_k with Q(N_k) < 0.  So Q is concave and
+    -pi Q(K) - 2 pi tK y convex on it, and every point's |Theta_K| is at most
+    the larger of its values at P c and T c.  The points outside both
+    ellipsoids are then bounded by the two cones' tail_bounds, each point
+    counted |c_0| times.  The reference sums the sign rule over a box far
+    past the radius.
+    """
+    N, M, b = case
+    n = len(N)
+    for k in range(1, n):
+        basis = SplitBasis(N, M, k)
+        Q = M @ _wedge_gram(n, k, b) @ M.T
+        omega = 0.1 * np.add.outer(np.arange(n), np.arange(n)) + 1j * Q
+        Z = sample_points(n, 1, seed)[0]
+        for at in (Z, Z + omega @ (N @ np.array(u[:n]))):
+            value, tail = WedgeSum(basis, tol).value_tail(omega, at)
+            assert tail <= tol
+            ref, rounding = _wedge_box_sum(basis, omega, at, 12)
+            assert abs(value - ref) <= tail + rounding
 
 
 def test_enumerate_wedge_signs():
     # sheared-family-only points carry +1, plain-family-only points -1
     basis = SplitBasis.identity(2, 1)
-    got = dict_pts = {
-        tuple(int(x) for x in K): s
-        for K, s in enumerate_wedge(basis, np.diag([-1.0, 2.0]), 4)
-    }
-    assert dict_pts[(-1, 1)] == 1
-    assert dict_pts[(0, -1)] == -1
-    assert (0, 0) not in dict_pts
+    got = _wedge_map(basis, enumerate_wedge(basis, _wedge_forms(basis, np.diag([-1.0, 2.0])), 4))
+    assert got[(-1, 1)] == 1
+    assert got[(0, -1)] == -1
+    assert (0, 0) not in got
 
 
 def test_enumerate_wedge_radius_zero():
     basis = SplitBasis.identity(2, 1)
-    assert enumerate_wedge(basis, np.diag([-1.0, 2.0]), 0) == []
+    pts = enumerate_wedge(basis, _wedge_forms(basis, np.diag([-1.0, 2.0])), 0)
+    assert pts.shape == (0, 2)
 
 
 def test_transform_basis_identity():

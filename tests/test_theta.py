@@ -13,6 +13,7 @@ from conetheta import intmat, lattice
 from conetheta.errors import (
     BadCharacteristic,
     NonPositiveRestriction,
+    NotSplitAfterTransform,
     RadiusOverflow,
     ValidationError,
 )
@@ -309,6 +310,13 @@ def test_wedge_shear_identity():
         lhs = lambda_action((0, 0), (1, 0), f)(Z).value - f(Z).value
         rhs = plain(Z).value - sheared(Z).value
         assert abs(lhs - rhs) < 1e-8
+
+
+def test_wedge_rejects_a_form_positive_on_the_shear_direction():
+    # Q = I is positive on both cones, but Q(N_1) > 0 voids the concavity
+    # that the tail bound rests on
+    with pytest.raises(NotSplitAfterTransform):
+        wedge_function(WBASIS, np.diag([1j, 1j]))(np.zeros(2))
 
 
 def test_wedge_next_identity():
