@@ -392,12 +392,12 @@ def _wedge_gram(n, k, b):
 def _wedge_bases(draw):
     """(N, M, b): a random unimodular N with M = tN^-1 at n = 2..4, and the
     couplings b of _wedge_gram; the form split at k is M G tM."""
-    N = _unimodular(draw, draw(st.integers(2, 4)), 6, 1)
+    N = _unimodular(draw, draw(st.integers(2, 4)), 8, 2)
     return N, unimodular_inverse(N).T, draw(st.lists(st.integers(-1, 1), min_size=3, max_size=3))
 
 
-@settings(max_examples=40, deadline=None)
-@given(_wedge_bases(), st.integers(0, 4))
+@settings(max_examples=60, deadline=None)
+@given(_wedge_bases(), st.integers(0, 5))
 def test_enumerate_wedge_matches_oracle_on_random_bases(case, R):
     N, M, b = case
     for k in range(1, len(N)):
