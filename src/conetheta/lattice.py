@@ -42,14 +42,21 @@ from .linalg import as_real_symmetric, signature
 _POS_EIG_TOL = 1e-10
 
 
-def _is_positive_on(Q: np.ndarray, B: np.ndarray) -> bool:
-    """True iff the form Q is positive definite on the columns of B."""
-    if B.shape[1] == 0:
-        return True
+def _is_positive_on(Q: np.ndarray, B: np.ndarray) -> bool | np.ndarray:
+    """True iff the form Q is positive definite on the columns of B.  For a
+    stack B of shape (P, n, j), a boolean array with one entry per item.
+
+    A single B is decided as a stack of one, so that each item of a stack
+    gets the same Gram matrix, the same eigenvalues and the same answer as
+    it would alone."""
+    if B.ndim == 2:
+        return bool(_is_positive_on(Q, B[None])[0])
+    if B.shape[2] == 0:
+        return np.ones(len(B), dtype=bool)
     Bf = B.astype(float)
-    A = Bf.T @ Q @ Bf
-    eig = np.linalg.eigvalsh((A + A.T) / 2)
-    return bool(np.min(eig) > _POS_EIG_TOL * max(1.0, float(np.max(np.abs(eig)))))
+    A = Bf.transpose(0, 2, 1) @ Q @ Bf
+    eig = np.linalg.eigvalsh((A + A.transpose(0, 2, 1)) / 2)
+    return eig[:, 0] > _POS_EIG_TOL * np.maximum(1.0, np.abs(eig).max(axis=1))
 
 
 @dataclass(frozen=True)
@@ -252,6 +259,22 @@ def _short_vectors(n: int, bound: int) -> np.ndarray:
 MAX_SPLIT_WINDOW = 10**6
 
 
+#: completions of one candidate tested per stacked eigvalsh: at n = 6,
+#: k = 3 a candidate has 7**9 of them
+_COMPLETION_CHUNK = 4096
+
+
+def _completion_steps(bound: int, m: int, k: int):
+    """The integer m x k matrices X with entries in [-bound, bound], in
+    itertools.product order of their flattened entries (the last varies
+    fastest), as stacks of at most _COMPLETION_CHUNK."""
+    side, digits = 2 * bound + 1, m * k
+    place = side ** np.arange(digits - 1, -1, -1, dtype=np.int64)
+    for lo in range(0, side**digits, _COMPLETION_CHUNK):
+        flat = np.arange(lo, min(lo + _COMPLETION_CHUNK, side**digits), dtype=np.int64)
+        yield (flat[:, None] // place % side - bound).reshape(len(flat), m, k)
+
+
 def find_split_basis(Q, k: int, bound: int = 3) -> SplitBasis:
     """Search for a split basis with N-entries bounded by ``bound``.
 
@@ -259,8 +282,11 @@ def find_split_basis(Q, k: int, bound: int = 3) -> SplitBasis:
     on N_{k+1}..N_n (see is_split_basis); M = tN^{-1} is derived from N.
     Strategy: take n-k candidate positive columns V from short vectors
     (ordered by norm), complete them to a unimodular matrix (C | V) when
-    they span a primitive sublattice, then add integer multiples of V to C
-    until Q is negative definite on C.
+    they span a primitive sublattice, then add integer multiples V X of V
+    to C.  The completions C + V X with entries bounded by ``bound`` are
+    tested as a batch, one stacked eigvalsh per chunk of X, and the first
+    on which Q is negative definite, in itertools.product order of X,
+    wins: the same basis as trying them one at a time.
     Failure raises NotFound; the search being exhaustive up to the bound,
     this is evidence but not proof of nonexistence.  A bound whose window
     has more than MAX_SPLIT_WINDOW vectors is a ValidationError.
@@ -291,10 +317,12 @@ def find_split_basis(Q, k: int, bound: int = 3) -> SplitBasis:
         except SingularMatrix:  # V is not primitive
             continue
         # C + V @ X is a column operation on (C | V), so |det| stays 1
-        for flat in itertools.product(range(-bound, bound + 1), repeat=k * m):
-            C = Cbase + V @ np.array(flat, dtype=np.int64).reshape(m, k)
-            if np.abs(C).max(initial=0) <= bound and _is_positive_on(-Q, C):
-                N = np.column_stack([C, V])
+        for X in _completion_steps(bound, m, k):
+            C = Cbase + V @ X
+            C = C[np.abs(C).max(axis=(1, 2), initial=0) <= bound]
+            ok = _is_positive_on(-Q, C)
+            if ok.any():
+                N = np.column_stack([C[np.argmax(ok)], V])
                 return SplitBasis(N, unimodular_inverse(N).T, k)
     raise NotFound("no split basis with entries bounded by %d" % bound)
 

@@ -1,14 +1,24 @@
 import itertools
 import math
+import tracemalloc
 from collections import defaultdict
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from conetheta.errors import NotFound, NotSymplectic, SignatureMismatch, ValidationError
-from conetheta.intmat import int_det, unimodular_inverse
+from conetheta import lattice
+from conetheta.errors import (
+    ConethetaError,
+    NotFound,
+    NotSymplectic,
+    SignatureMismatch,
+    SingularMatrix,
+    ValidationError,
+)
+from conetheta.intmat import int_det, unimodular_completion, unimodular_inverse
+from conetheta.linalg import signature
 from conetheta.lattice import (
     ConeForm,
     ConeSpec,
@@ -128,16 +138,17 @@ def test_find_split_basis_negative_definite_identity():
     assert basis.M.tolist() == np.eye(3, dtype=int).tolist()
 
 
-def _planted_form(seed, n, k):
+def _planted_form(seed, n, k, moves=1):
     """Q = tW^{-1} diag(-1.., 1..) W^{-1} for a signed permutation W after
-    one elementary column move (drawn until the reference basis does not
-    split Q), so W is a split basis within bound 3."""
+    ``moves`` elementary column moves (drawn until the reference basis does
+    not split Q), so W is a split basis within bound 3 for moves <= 2."""
     rng = np.random.default_rng(seed)
     D = np.diag([-1.0] * k + [1.0] * (n - k))
     while True:
         W = np.eye(n, dtype=np.int64)
-        i, j = rng.choice(n, 2, replace=False)
-        W[:, j] += int(rng.choice((-1, 1))) * W[:, i]
+        for _ in range(moves):
+            i, j = rng.choice(n, 2, replace=False)
+            W[:, j] += int(rng.choice((-1, 1))) * W[:, i]
         W = np.eye(n, dtype=np.int64)[rng.permutation(n)] * rng.choice((-1, 1), n) @ W
         Winv = np.rint(np.linalg.inv(W))
         Q = Winv.T @ D @ Winv
@@ -170,6 +181,174 @@ def test_find_split_basis_pinned(seed, n, k, N):
     assert basis.N.tolist() == N
     assert np.array_equal(basis.M, unimodular_inverse(np.array(N)).T)
     assert basis.k == k
+
+
+def _positive_one_at_a_time(F, B):
+    """The positivity test as it decided one matrix at a time."""
+    if B.shape[1] == 0:
+        return True
+    Bf = B.astype(float)
+    A = Bf.T @ F @ Bf
+    eig = np.linalg.eigvalsh((A + A.T) / 2)
+    return bool(np.min(eig) > 1e-10 * max(1.0, float(np.max(np.abs(eig)))))
+
+
+def _split_basis_one_at_a_time(Q, k, bound):
+    """find_split_basis as it tried the completions C + V X of a candidate:
+    one eigvalsh each, in itertools.product order of X."""
+    n = len(Q)
+    if signature(Q) != (k, n - k):
+        raise SignatureMismatch("signature")
+    eye = np.eye(n, dtype=np.int64)
+    if _positive_one_at_a_time(-Q, eye[:, :k]) and _positive_one_at_a_time(Q, eye[:, k:]):
+        return eye, eye, k
+    m = n - k
+    shorts = lattice._short_vectors(n, bound)
+    positives = shorts[form_values(shorts, Q) > 0]
+    for idxs in itertools.islice(itertools.combinations(range(len(positives)), m), 200000):
+        V = positives[list(idxs)].T
+        if not _positive_one_at_a_time(Q, V):
+            continue
+        try:
+            Cbase = unimodular_completion(V)
+        except SingularMatrix:
+            continue
+        for flat in itertools.product(range(-bound, bound + 1), repeat=k * m):
+            C = Cbase + V @ np.array(flat, dtype=np.int64).reshape(m, k)
+            if np.abs(C).max(initial=0) <= bound and _positive_one_at_a_time(-Q, C):
+                N = np.column_stack([C, V])
+                return N, unimodular_inverse(N).T, k
+    raise NotFound("no split basis")
+
+
+def _noisy_form(seed, n, k):
+    """A planted form plus a symmetric perturbation of size about 0.05."""
+    E = np.random.default_rng(seed + 1000).normal(scale=0.05, size=(n, n))
+    return _planted_form(seed, n, k) + (E + E.T) / 2
+
+
+def _orthogonal_form(seed, n, k):
+    """tO diag(-d.., d..) O for a random orthogonal O and d in [0.5, 2]."""
+    rng = np.random.default_rng(seed)
+    O = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    d = rng.uniform(0.5, 2.0, n)
+    return O.T @ np.diag(np.where(np.arange(n) < k, -d, d)) @ O
+
+
+_FORM_KINDS = {
+    "one-move": _planted_form,
+    "two-move": lambda seed, n, k: _planted_form(seed, n, k, 2),
+    "noisy": _noisy_form,
+    "orthogonal": _orthogonal_form,
+}
+
+#: (kind, n, k, bound); at n = 5, k = 2, 3 the one-at-a-time search tries
+#: 7**6 completions per candidate, so those forms use bound 2 (5**6, which
+#: still spans several chunks)
+_SAME_ANSWER_CASES = [
+    (kind, n, k, 2 if n == 5 and k in (2, 3) else 3)
+    for kind in _FORM_KINDS
+    for n in range(2, 6)
+    for k in range(1, n)
+    if not (n == 5 and k in (2, 3) and kind in ("one-move", "noisy"))
+] + [("hyperbolic", 2, 1, 3)]
+
+
+def _outcome(search, Q, k, bound):
+    try:
+        N, M, index = search(Q, k, bound)
+    except ConethetaError as e:
+        return type(e).__name__
+    return np.asarray(N).tolist(), np.asarray(M).tolist(), index
+
+
+@pytest.mark.parametrize("kind,n,k,bound", _SAME_ANSWER_CASES)
+def test_find_split_basis_matches_one_at_a_time_search(kind, n, k, bound):
+    if kind == "hyperbolic":
+        Q = np.array([[0.0, 1.0], [1.0, 0.0]])
+    else:
+        Q = _FORM_KINDS[kind](0, n, k)
+
+    def batched(Q, k, bound):
+        basis = find_split_basis(Q, k, bound)
+        return basis.N, basis.M, basis.k
+
+    want = _outcome(_split_basis_one_at_a_time, Q, k, bound)
+    assert _outcome(batched, Q, k, bound) == want
+    if kind == "hyperbolic":
+        assert want == "NotFound"
+
+
+def test_is_positive_on_stack_decides_as_each_matrix_alone():
+    rng = np.random.default_rng(3)
+    cases = []
+    for n, j in ((2, 1), (3, 2), (4, 2), (5, 3), (4, 4)):
+        S = rng.normal(size=(n, n))
+        cases.append((S + S.T, rng.integers(-3, 4, size=(300, n, j))))
+    # least Gram eigenvalue within a few ulps of the _POS_EIG_TOL threshold:
+    # Q = diag(t, 1) on the identity, a sign flip and two shears
+    items = np.array([[[1, 0], [0, 1]], [[-1, 0], [0, 1]], [[1, 1], [0, 1]], [[1, 0], [1, 1]]])
+    for t in [1e-10 * (1 + d) for d in (-1e-9, -4e-16, 0.0, 4e-16, 1e-9)]:
+        t_near = [np.nextafter(t, -1.0), t, np.nextafter(t, 1.0)]
+        for tt in t_near:
+            cases.append((np.diag([tt, 1.0]), items))
+    # nearly dependent columns v, v + e_i with large v
+    v = rng.integers(-1000, 1001, size=(200, 3, 1))
+    e = np.eye(3, dtype=np.int64)[rng.integers(0, 3, 200)][:, :, None]
+    S = rng.normal(size=(3, 3))
+    cases.append((S @ S.T + 0.1 * np.eye(3), np.concatenate([v, v + e], axis=2)))
+    cases.append((np.diag([-1.0, 2.0, 3.0]), np.concatenate([v, v + e], axis=2)))
+    # empty stacks: every completion of a chunk outside the bound, and no columns
+    cases.append((np.eye(3), np.zeros((0, 3, 2), dtype=np.int64)))
+    cases.append((np.eye(3), np.zeros((4, 3, 0), dtype=np.int64)))
+    decided = set()
+    for Q, B in cases:
+        got = lattice._is_positive_on(Q, B)
+        assert got.dtype == bool and got.shape == (len(B),)
+        alone = [lattice._is_positive_on(Q, b) for b in B]
+        assert got.tolist() == alone
+        decided.update(alone)
+    assert decided == {True, False}
+    at_threshold = [lattice._is_positive_on(np.diag([t, 1.0]), np.eye(2)) for t in
+                    (np.nextafter(1e-10, 0.0), 1e-10, np.nextafter(1e-10, 1.0))]
+    assert at_threshold == [False, False, True]
+
+
+def test_find_split_basis_tests_completions_in_chunks(monkeypatch):
+    # n = 4, k = 1: the 7**3 completions of a candidate fit one chunk, and
+    # its Gram matrices are 1 x 1 while the candidates' are 3 x 3
+    Q = _planted_form(7, 4, 1)
+    gram_sizes = []
+    completed = []
+    eigvalsh, completion = np.linalg.eigvalsh, lattice.unimodular_completion
+
+    def counted_eigvalsh(A):
+        gram_sizes.append(A.shape[-1])
+        return eigvalsh(A)
+
+    def counted_completion(V):
+        C = completion(V)
+        completed.append(V)
+        return C
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    monkeypatch.setattr(lattice, "unimodular_completion", counted_completion)
+    find_split_basis(Q, 1)
+    # one reference check of each size, then per candidate one check of V
+    # and one stacked check per chunk of its completions (the parent's loop
+    # made one check per completion within the bound)
+    assert completed and gram_sizes.count(1) <= 1 + len(completed)
+    assert gram_sizes.count(3) >= len(completed)
+
+    # two moves at n = 5, k = 2: 7**6 completions per candidate, chunked
+    Q = _planted_form(0, 5, 2, 2)
+    tracemalloc.start()
+    try:
+        find_split_basis(Q, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def _dual_split_reference(basis, Q, k):
@@ -407,19 +586,54 @@ def test_enumerate_wedge_matches_oracle_on_random_bases(case, R):
         assert got == _wedge_multiset_oracle(basis, Q, R)
 
 
-def _wedge_box_sum(basis, omega, Z, B):
+def _wedge_box_sum(basis, omega, Z, target):
     """The wedge sum over every (t, c) in the box |.| <= B, with
     K = t N_k + sum_i c_i N_{k+1+i} and the sign [t >= -c_0] - [t >= 0] of
-    the two families, and a bound on the rounding of its terms."""
+    the two families, and a bound on its error: the rounding of its terms
+    plus what the box leaves out, B being the least size for which that part
+    is at most ``target``.
+
+    Only points with |t| <= |c_0| carry a sign, so the box leaves out just
+    the c with |c|_inf = s > B: (2s+1)^m - (2s-1)^m of them, each carrying
+    at most s points, and each point below e^E(P c) + e^E(T c) by the
+    concavity argument of test_wedge_tail_is_certified.  For X = P, T,
+    E(X c) = e_X - pi t(c - c*) A (c - c*) <= e_X - pi lam (s - |c*|_inf)^2
+    once s >= |c*|_inf, with A = tX Q X, lam its least eigenvalue, c* the
+    minimiser of the shifted exponent and e_X its value there.
+    """
     k, n = basis.k, basis.n
-    tc = np.indices((2 * B + 1,) * (n - k + 1)).reshape(n - k + 1, -1).T - B
+    m = n - k
+    Q, y = omega.imag, np.asarray(Z).imag
+    peaks = []  # (e_X, lam, |c*|_inf) of each cone
+    for cone in wedge_cones(basis):
+        X = cone.generators.astype(float)
+        A = X.T @ Q @ X
+        c_star = np.linalg.solve(A, -X.T @ y)
+        peaks.append((math.pi * float(c_star @ A @ c_star), float(np.linalg.eigvalsh(A)[0]),
+                      float(np.abs(c_star).max())))
+
+    def left_out(B):
+        total, s, prev = 0.0, B + 1, math.inf
+        while True:
+            shell = s * ((2 * s + 1) ** m - (2 * s - 1) ** m)
+            term = shell * sum(math.exp(e - math.pi * lam * (s - d) ** 2) for e, lam, d in peaks)
+            total += term
+            if term < prev and term <= 1e-30 * total:
+                return total
+            prev, s = term, s + 1
+
+    B = math.ceil(max(d for _, _, d in peaks))
+    while left_out(B) > target:
+        B += 1
+    tc = np.indices((2 * B + 1,) * (m + 1)).reshape(m + 1, -1).T - B
     sign = (tc[:, 0] >= -tc[:, 1]).astype(int) - (tc[:, 0] >= 0)
     tc, sign = tc[sign != 0], sign[sign != 0]
     K = (tc @ basis.N[:, k - 1:].T).astype(float)
     terms = sign * theta_terms(K, Z, omega)
     absK = np.abs(K)
     phase_abs = math.pi * (form_values(absK, np.abs(omega)) + 2.0 * (absK @ np.abs(Z)))
-    return complex_fsum(terms), 64 * 2.0**-52 * float(np.sum((1.0 + phase_abs) * np.abs(terms)))
+    rounding = 64 * 2.0**-52 * float(np.sum((1.0 + phase_abs) * np.abs(terms)))
+    return complex_fsum(terms), rounding + left_out(B)
 
 
 @settings(max_examples=30, deadline=None)
@@ -429,6 +643,8 @@ def _wedge_box_sum(basis, omega, Z, B):
     st.integers(0, 2**31),
     st.lists(st.integers(-1, 1), min_size=4, max_size=4),
 )
+# a fixed box |t|, |c_i| <= 12 left out 6.2e65 of 7.26e72 here (k = 1)
+@example((np.eye(4, dtype=np.int64), np.eye(4, dtype=np.int64), [1, 1, 1]), 1e-2, 0, [-1, -1, 0, 0])
 def test_wedge_tail_is_certified(case, tol, seed, u):
     """Every WedgeSum tail is a true bound, at a sample Z and at the
     lambda-shifted Z + omega N u.
@@ -439,8 +655,9 @@ def test_wedge_tail_is_certified(case, tol, seed, u):
     -pi Q(K) - 2 pi tK y convex on it, and every point's |Theta_K| is at most
     the larger of its values at P c and T c.  The points outside both
     ellipsoids are then bounded by the two cones' tail_bounds, each point
-    counted |c_0| times.  The reference sums the sign rule over a box far
-    past the radius.
+    counted |c_0| times.  The reference sums the sign rule over a box sized
+    from the instance, whose left-out part is bounded the same way and kept
+    below a thousandth of tol.
     """
     N, M, b = case
     n = len(N)
@@ -452,8 +669,8 @@ def test_wedge_tail_is_certified(case, tol, seed, u):
         for at in (Z, Z + omega @ (N @ np.array(u[:n]))):
             value, tail = WedgeSum(basis, tol).value_tail(omega, at)
             assert tail <= tol
-            ref, rounding = _wedge_box_sum(basis, omega, at, 12)
-            assert abs(value - ref) <= tail + rounding
+            ref, allowance = _wedge_box_sum(basis, omega, at, 1e-3 * tol)
+            assert abs(value - ref) <= tail + allowance
 
 
 def test_enumerate_wedge_signs():
