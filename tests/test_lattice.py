@@ -354,15 +354,9 @@ def test_find_split_basis_tests_completions_in_chunks(monkeypatch):
 def _dual_split_reference(basis, Q, k):
     """Split test through the dual form: Q positive definite on the last
     n-k N-columns and Q^{-1} on the last n-k M-columns."""
-
-    def posdef(B, F):
-        A = B.astype(float).T @ F @ B.astype(float)
-        if A.shape[0] == 0:
-            return True
-        eig = np.linalg.eigvalsh((A + A.T) / 2)
-        return bool(eig.min() > 1e-10 * max(1.0, float(np.abs(eig).max())))
-
-    return posdef(basis.N[:, k:], Q) and posdef(basis.M[:, k:], np.linalg.inv(Q))
+    return _positive_one_at_a_time(Q, basis.N[:, k:]) and _positive_one_at_a_time(
+        np.linalg.inv(Q), basis.M[:, k:]
+    )
 
 
 def _unimodular(draw, n, max_moves, coef):
