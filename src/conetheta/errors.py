@@ -30,7 +30,8 @@ class SignatureMismatch(ConethetaError):
 
 
 class NotFound(ConethetaError):
-    """An exhaustive bounded search finished without a result."""
+    """A bounded search, exhaustive up to its bound and cap, finished
+    without a result."""
 
 
 class NonPositiveRestriction(ConethetaError):

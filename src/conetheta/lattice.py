@@ -258,6 +258,11 @@ def _short_vectors(n: int, bound: int) -> np.ndarray:
 #: memory: the default bound 3 fits up to n = 7
 MAX_SPLIT_WINDOW = 10**6
 
+#: candidate blocks V that find_split_basis tries before it gives up; at
+#: n = 5 the default bound's window has more, so a split basis within the
+#: bound can be missed
+MAX_SPLIT_CANDIDATES = 200_000
+
 
 #: completions of one candidate tested per stacked eigvalsh: at n = 6,
 #: k = 3 a candidate has 7**9 of them
@@ -287,9 +292,11 @@ def find_split_basis(Q, k: int, bound: int = 3) -> SplitBasis:
     tested as a batch, one stacked eigvalsh per chunk of X, and the first
     on which Q is negative definite, in itertools.product order of X,
     wins: the same basis as trying them one at a time.
-    Failure raises NotFound; the search being exhaustive up to the bound,
-    this is evidence but not proof of nonexistence.  A bound whose window
-    has more than MAX_SPLIT_WINDOW vectors is a ValidationError.
+    Failure raises NotFound; the search is exhaustive up to the bound and
+    the first MAX_SPLIT_CANDIDATES candidate blocks, so this is evidence
+    but not proof of nonexistence (the message says when the cap ended
+    the search).  A bound whose window has more than MAX_SPLIT_WINDOW
+    vectors is a ValidationError.
     """
     Q = as_real_symmetric(Q)
     n = Q.shape[0]
@@ -308,7 +315,8 @@ def find_split_basis(Q, k: int, bound: int = 3) -> SplitBasis:
     m = n - k
     shorts = _short_vectors(n, bound)
     positives = shorts[form_values(shorts, Q) > 0]
-    for idxs in itertools.islice(itertools.combinations(range(len(positives)), m), 200000):
+    candidates = itertools.combinations(range(len(positives)), m)
+    for idxs in itertools.islice(candidates, MAX_SPLIT_CANDIDATES):
         V = positives[list(idxs)].T
         if not _is_positive_on(Q, V):  # so V has independent columns
             continue
@@ -324,7 +332,10 @@ def find_split_basis(Q, k: int, bound: int = 3) -> SplitBasis:
             if ok.any():
                 N = np.column_stack([C[np.argmax(ok)], V])
                 return SplitBasis(N, unimodular_inverse(N).T, k)
-    raise NotFound("no split basis with entries bounded by %d" % bound)
+    message = "no split basis with entries bounded by %d" % bound
+    if math.comb(len(positives), m) > MAX_SPLIT_CANDIDATES:
+        message += " among the first %d candidate blocks (search capped)" % MAX_SPLIT_CANDIDATES
+    raise NotFound(message)
 
 
 def form_values(K: np.ndarray, Q: np.ndarray) -> np.ndarray:

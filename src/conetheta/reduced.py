@@ -1,7 +1,8 @@
 """Finite exact model of the degree-k coefficient complex: the Koszul
 complex of the k commuting shift-difference operators (sigma_q - 1) acting
-on finitely supported integer arrays, with exact rational rank computations
-of its cohomology.
+on finitely supported integer arrays, with exact ranks of its cohomology
+computed by fraction-free elimination over Python integers (no rationals,
+no floating point, no modular arithmetic).
 
 Window discipline: the top-degree component lives on the full box
 [-w, w]^k; a component whose wedge subset omits direction q gets one unit
@@ -17,8 +18,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import ShapeMismatch, WindowOverflow, WindowTooSmall
 
@@ -124,25 +125,41 @@ def _component_points(k: int, w: int, subset: frozenset) -> list[tuple]:
 
 
 def _sparse_rank(rows: list[dict]) -> int:
-    """Exact rank over Q of a sparse integer matrix given as row dicts."""
-    rows = [dict(r) for r in rows if r]
+    """Exact rank over Q of a sparse integer matrix given as row dicts.
+
+    Fraction-free elimination over Python ints (in the spirit of Bareiss):
+    a row whose leading column a stored pivot owns becomes
+    ``a*row - b*pivot``, with ``a`` and ``b`` the pivot's and the row's
+    leading entries divided by their gcd; a row that owns a new column is
+    divided by the gcd of its entries (leading entry made positive) and
+    stored.  Scaling a row by a nonzero integer and subtracting integer
+    multiples of other rows keep the rational row space, so the count of
+    pivots is the rank over Q, and Python ints never wrap.
+    """
     pivots: dict[int, dict] = {}
     for row in rows:
-        entries = {c: Fraction(v) for c, v in row.items() if v}
+        entries = {c: operator.index(v) for c, v in row.items() if v}
         while entries:
             col = min(entries)
-            if col in pivots:
-                piv = pivots[col]
-                factor = entries[col] / piv[col]
-                for c, v in piv.items():
-                    val = entries.get(c, Fraction(0)) - factor * v
-                    if val:
-                        entries[c] = val
-                    else:
-                        entries.pop(c, None)
-            else:
+            piv = pivots.get(col)
+            if piv is None:
+                g = math.gcd(*entries.values())
+                if entries[col] < 0:
+                    g = -g
+                if g != 1:
+                    entries = {c: v // g for c, v in entries.items()}
                 pivots[col] = entries
                 break
+            g = math.gcd(piv[col], entries[col])
+            a, b = piv[col] // g, entries[col] // g
+            if a != 1:
+                entries = {c: a * v for c, v in entries.items()}
+            for c, v in piv.items():
+                val = entries.get(c, 0) - b * v
+                if val:
+                    entries[c] = val
+                else:
+                    entries.pop(c, None)
     return len(pivots)
 
 
@@ -186,7 +203,8 @@ def component_dimension(k: int, w: int, p: int) -> int:
 
 def cohomology_ranks(k: int, w: int) -> list[int]:
     """Betti numbers of the assembled shift-difference complex, computed by
-    exact rational rank-nullity.  Expected: zeros below degree k and one in
+    rank-nullity from exact ranks over Q (fraction-free integer elimination,
+    see _sparse_rank).  Expected: zeros below degree k and one in
     degree k."""
     if not (1 <= k <= 3):
         raise ShapeMismatch("k must be between 1 and 3")

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import tracemalloc
 from collections import defaultdict
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conetheta import lattice
+from conetheta.cli import main
 from conetheta.errors import (
     ConethetaError,
     NotFound,
@@ -181,6 +183,52 @@ def test_find_split_basis_pinned(seed, n, k, N):
     assert basis.N.tolist() == N
     assert np.array_equal(basis.M, unimodular_inverse(np.array(N)).T)
     assert basis.k == k
+
+
+def test_find_split_basis_candidate_cap(monkeypatch, tmp_path, capsys):
+    # a search that runs out of candidates below the cap says nothing of it
+    with pytest.raises(NotFound) as exc:
+        find_split_basis(np.array([[0.0, 1.0], [1.0, 0.0]]), 1)
+    assert "capped" not in str(exc.value)
+
+    Q, k = _planted_form(3, 3, 1), 1
+    completed = []
+    completion = lattice.unimodular_completion
+
+    def recorded_completion(V):
+        completed.append(V.tolist())
+        return completion(V)
+
+    monkeypatch.setattr(lattice, "unimodular_completion", recorded_completion)
+    N = find_split_basis(Q, k).N
+    order = list(completed)
+    omega = [[{"re": 0.0, "im": float(x)} for x in row] for row in Q]
+    inst = tmp_path / "planted.json"
+    inst.write_text(json.dumps({"n": 3, "k": k, "omega": omega}))
+    assert main(["split-basis", "--instance", str(inst)]) == 0
+    # position of the winning block in the search's candidate order
+    positives = lattice._short_vectors(3, 3)
+    positives = positives[form_values(positives, Q) > 0]
+    place = next(
+        i
+        for i, idxs in enumerate(itertools.combinations(range(len(positives)), 2))
+        if np.array_equal(positives[list(idxs)].T, N[:, k:])
+    )
+
+    monkeypatch.setattr(lattice, "MAX_SPLIT_CANDIDATES", place + 1)
+    del completed[:]
+    assert find_split_basis(Q, k).N.tolist() == N.tolist()
+    assert completed == order
+
+    monkeypatch.setattr(lattice, "MAX_SPLIT_CANDIDATES", place)
+    del completed[:]
+    with pytest.raises(NotFound, match="among the first %d candidate blocks" % place):
+        find_split_basis(Q, k)
+    assert place > 0 and completed == order[:-1]
+
+    capsys.readouterr()
+    assert main(["split-basis", "--instance", str(inst)]) == 4
+    assert "(search capped)" in capsys.readouterr().err
 
 
 def _positive_one_at_a_time(F, B):

@@ -1,11 +1,19 @@
+from fractions import Fraction
+
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conetheta.errors import WindowOverflow, WindowTooSmall
 from conetheta.reduced import (
     CoefficientArray,
+    _differential_rows,
+    _sparse_rank,
     cohomology_ranks,
+    component_dimension,
     partial_sum_preimage,
     shift_delta,
+    shift_difference_matrix,
     shift_injectivity_deficit,
 )
 from conetheta.rng import SplitMix64
@@ -106,8 +114,6 @@ def test_shift_injectivity():
 
 def test_assembled_differentials_compose_to_zero():
     # multiply consecutive sparse differential matrices exactly
-    from conetheta.reduced import _differential_rows, component_dimension
-
     k, w = 2, 5
     d0 = _differential_rows(k, w, 0)
     d1 = _differential_rows(k, w, 1)
@@ -127,3 +133,86 @@ def test_assembled_differentials_compose_to_zero():
             for r2, v2 in d1_cols[mid].items():
                 acc[r2] = acc.get(r2, 0) + v * v2
         assert all(val == 0 for val in acc.values()), "d o d != 0 at column %d" % c
+
+
+def _fraction_rank(rows):
+    """Rank over Q by Gaussian elimination in Fractions, pivoting on the
+    leading column: the elimination _sparse_rank replaced."""
+    pivots = {}
+    for row in rows:
+        entries = {c: Fraction(v) for c, v in row.items() if v}
+        while entries:
+            col = min(entries)
+            if col not in pivots:
+                pivots[col] = entries
+                break
+            piv = pivots[col]
+            factor = entries[col] / piv[col]
+            for c, v in piv.items():
+                val = entries.get(c, 0) - factor * v
+                if val:
+                    entries[c] = val
+                else:
+                    entries.pop(c, None)
+    return len(pivots)
+
+
+@st.composite
+def _sparse_matrices(draw):
+    """Row dicts with entries in [-4, 4], mostly zero, some of whose rows
+    are integer combinations of earlier ones (so pivots are not +-1)."""
+    ncols = draw(st.integers(0, 12))
+    entry = st.one_of(st.just(0), st.just(0), st.integers(-4, 4))
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        if rows and draw(st.booleans()):
+            coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+            row = {c: sum(a * r.get(c, 0) for a, r in zip(coeffs, rows)) for c in range(ncols)}
+        else:
+            row = {c: draw(entry) for c in range(ncols)}
+        rows.append(row)
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sparse_matrices())
+def test_sparse_rank_matches_fraction_elimination(rows):
+    assert _sparse_rank(rows) == _fraction_rank(rows)
+
+
+def test_sparse_rank_pinned_cases():
+    # rank 2 over Q although the rows agree mod 2 (rank 1 there)
+    assert _sparse_rank([{0: 1, 1: 1}, {0: 1, 1: -1}]) == 2
+    # entries beyond int64: the second row is 3**50 times the first, and
+    # the determinant of the last pair is -1
+    big = 3**50
+    assert _sparse_rank([{0: 1, 1: big}, {0: big, 1: big * big}]) == 1
+    assert _sparse_rank([{0: 1, 1: big}, {0: big, 1: big * big + 1}]) == 2
+    assert _sparse_rank([{0: big, 1: big + 1}, {0: big + 1, 1: big + 2}]) == 2
+    # numpy integers are read as Python ints, so their products do not wrap
+    assert _sparse_rank([{0: np.int64(2**62), 1: np.int64(1)}, {0: np.int64(1), 1: np.int64(0)}]) == 2
+    # empty rows and the all-zero matrix
+    assert _sparse_rank([]) == 0
+    assert _sparse_rank([{}, {}]) == 0
+    assert _sparse_rank([{0: 0, 3: 0}] * 3) == 0
+    with pytest.raises(TypeError):
+        _sparse_rank([{0: Fraction(1, 2)}])
+
+
+def test_suite_matrices_rank_as_with_fractions():
+    mats = [_differential_rows(k, w, p) for k, w in ((1, 5), (2, 5), (1, 6), (2, 6)) for p in range(k)]
+    mats += [shift_difference_matrix(1, 5, 1), shift_difference_matrix(2, 5, 2)]
+    assert [_sparse_rank(m) for m in mats] == [_fraction_rank(m) for m in mats]
+
+
+def test_cohomology_ranks_k3():
+    assert cohomology_ranks(3, 5) == [0, 0, 0, 1]
+    assert [shift_injectivity_deficit(3, 5, q) for q in (1, 2, 3)] == [0, 0, 0]
+
+
+@pytest.mark.parametrize("k,w", [(k, w) for k in (1, 2, 3) for w in range(k + 2, 7)])
+def test_euler_characteristic(k, w):
+    # sum_p (-1)^p comb(k, p) (2w+1)^p (2w)^(k-p) = (2w - (2w+1))^k
+    dims = sum((-1) ** p * component_dimension(k, w, p) for p in range(k + 1))
+    betti = sum((-1) ** p * b for p, b in enumerate(cohomology_ranks(k, w)))
+    assert dims == betti == (-1) ** k
