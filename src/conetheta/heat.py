@@ -73,9 +73,10 @@ def fd_omega_derivative(family: Family, omega, Z, i: int, j: int, eps: float) ->
 
 
 def fd_zz_derivative(family: Family, omega, Z, i: int, j: int, eps: float) -> complex:
-    """Second-order central stencil for d^2/dZ_i dZ_j."""
-    omega = check_symmetric(omega)
-    n = omega.shape[0]
+    """Second-order central stencil for d^2/dZ_i dZ_j; its 3 or 4 points
+    are one stack of the family bound to omega."""
+    bound = family.bind(omega)
+    n = bound.n
     ii, jj = _check_indices(n, i, j)
     Z = np.asarray(Z, dtype=complex)
     ei = np.zeros(n)
@@ -83,14 +84,11 @@ def fd_zz_derivative(family: Family, omega, Z, i: int, j: int, eps: float) -> co
     ei[ii] = 1.0
     ej[jj] = 1.0
     if ii == jj:
-        f0, _ = family.value_tail(omega, Z)
-        fp, _ = family.value_tail(omega, Z + eps * ei)
-        fm, _ = family.value_tail(omega, Z - eps * ei)
+        (f0, _), (fp, _), (fm, _) = bound.stack([Z, Z + eps * ei, Z - eps * ei])
         return (fp - 2.0 * f0 + fm) / (eps * eps)
-    fpp, _ = family.value_tail(omega, Z + eps * ei + eps * ej)
-    fpm, _ = family.value_tail(omega, Z + eps * ei - eps * ej)
-    fmp, _ = family.value_tail(omega, Z - eps * ei + eps * ej)
-    fmm, _ = family.value_tail(omega, Z - eps * ei - eps * ej)
+    (fpp, _), (fpm, _), (fmp, _), (fmm, _) = bound.stack(
+        [Z + eps * ei + eps * ej, Z + eps * ei - eps * ej, Z - eps * ei + eps * ej, Z - eps * ei - eps * ej]
+    )
     return (fpp - fpm - fmp + fmm) / (4.0 * eps * eps)
 
 

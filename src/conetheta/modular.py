@@ -26,10 +26,12 @@ from .errors import (
 from .lattice import ConeSpec, ModularElement, find_split_basis
 from .linalg import check_symmetric, principal_sqrt_det, signature
 from .theta import (
+    Bound,
     ConeSum,
     DEFAULT_TOL,
     Evaluator,
     Family,
+    as_stack,
     complex_fsum,
     sample_points,
 )
@@ -72,15 +74,35 @@ class ModularImage(Family):
     g: ModularElement
     zeta: complex = 1.0
 
-    def value_tail(self, omega, Z):
-        omega = check_symmetric(omega)
-        Z = np.asarray(Z, dtype=complex)
-        og = omega_transform(self.g, omega)
-        T = (self.g.C.astype(complex) @ og + self.g.D.astype(complex)).T
-        pref = self.zeta * principal_sqrt_det(T.T)
-        pref *= cmath.exp(1j * math.pi * (Z @ self.g.C.astype(complex) @ T @ Z))
-        v, t = self.inner.value_tail(og, T @ Z)
-        return pref * v, abs(pref) * t
+    def bind(self, omega) -> "BoundModularImage":
+        return BoundModularImage(self, check_symmetric(omega))
+
+    # its own entry in the class, so that a tracer can wrap it per class
+    value_tail = Family.value_tail
+
+
+class BoundModularImage(Bound):
+    """A ModularImage over one period matrix: omega^g, T = t(C omega^g + D),
+    zeta det(T)^{1/2} and the inner family bound to omega^g, computed once.
+    The rest depends on Z and stays per row."""
+
+    def __init__(self, family: ModularImage, omega: np.ndarray):
+        self.family, self.omega = family, omega
+        g = family.g
+        og = omega_transform(g, omega)
+        self.C = g.C.astype(complex)
+        self.T = (self.C @ og + g.D.astype(complex)).T
+        self.pref = family.zeta * principal_sqrt_det(self.T.T)
+        self.inner = family.inner.bind(og)
+
+    def stack(self, Zs):
+        Zs = as_stack(Zs, self.n)
+        rows = self.inner.stack(np.array([self.T @ Z for Z in Zs]))
+        out = []
+        for Z, (v, t) in zip(Zs, rows):
+            pref = self.pref * cmath.exp(1j * math.pi * (Z @ self.C @ self.T @ Z))
+            out.append((pref * v, abs(pref) * t))
+        return out
 
 
 def modular_apply(g: ModularElement, f: Evaluator, zeta: complex) -> Evaluator:
@@ -282,12 +304,10 @@ def determine_zeta(g: ModularElement, omega) -> tuple[complex, float]:
         k, _ = signature(omega.imag)
         basis = find_split_basis(omega.imag, k)
         cone = ConeSpec(basis.positive_generators(), (0,) * n)
-        plain = ConeSum(cone, DEFAULT_TOL)
-        ratios = []
-        for Z in sample_points(n, 5):
-            base, _ = plain.value_tail(omega, Z)
-            image, _ = ModularImage(plain, g, 1.0).value_tail(omega, Z)
-            ratios.append(base / image)
+        plain = Evaluator(ConeSum(cone, DEFAULT_TOL), omega)
+        image = modular_apply(g, plain, 1.0)
+        samples = sample_points(n, 5)
+        ratios = [base.value / img.value for base, img in zip(plain.stack(samples), image.stack(samples))]
         return fit_eighth_root(ratios)
     if n == 1 and g.A[0, 0] == 0 and g.D[0, 0] == 0 and abs(g.C[0, 0]) == 1:
         tau = complex(omega[0, 0])

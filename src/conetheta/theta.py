@@ -54,8 +54,14 @@ def theta_terms(K, Z, omega) -> np.ndarray:
     omega = np.asarray(omega, dtype=complex)
     if K.ndim != 2 or Z.shape != (K.shape[1],) or omega.shape != (K.shape[1],) * 2:
         raise ShapeMismatch("incompatible shapes for theta terms")
-    phase = form_values(K, omega) + 2.0 * (K @ Z)
-    return np.exp(1j * math.pi * phase)
+    return _terms(K, form_values(K, omega), Z)
+
+
+def _terms(K: np.ndarray, quad: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """theta_terms given the part that does not depend on Z, quad =
+    form_values(K, omega); form_values rounds each row on its own, so a
+    prefix of quad is quad of the prefix."""
+    return np.exp(1j * math.pi * (quad + 2.0 * (K @ Z)))
 
 
 def theta_term(K, Z, omega) -> complex:
@@ -123,7 +129,8 @@ def _drift(form: ConeForm, Z) -> tuple[float, float]:
     """(alpha, beta) with |tK y| <= alpha + beta sqrt(tK Q K) on the cone,
     y = Im Z (see tail_bound)."""
     y = np.asarray(Z, dtype=complex).imag
-    beta = float(np.linalg.norm(form.G.T @ y)) / math.sqrt(form.lam)
+    Gy = form.G.T @ y
+    beta = math.sqrt(float(Gy @ Gy)) / math.sqrt(form.lam)  # |tG y|, as np.linalg.norm computes it
     return abs(float(form.shift @ y)) + form.t_s * beta, beta
 
 
@@ -231,25 +238,75 @@ def _solve_radius(forms, Z, tol: float, max_radius: float, weighted) -> tuple[fl
 # ---------------------------------------------------------------------------
 # evaluator families
 
+def as_stack(Zs, n: int) -> np.ndarray:
+    """Zs as a (p, n) complex array with p >= 1; ShapeMismatch otherwise."""
+    Zs = np.asarray(Zs, dtype=complex)
+    if Zs.ndim != 2 or Zs.shape[1] != n or not len(Zs):
+        raise ShapeMismatch("expected a nonempty (p, %d) stack of Z, got shape %r" % (n, Zs.shape))
+    return Zs
+
+
+def _one_row(Z) -> np.ndarray:
+    """A single Z as a stack of one (a Z that is not 1-d fails as_stack)."""
+    return np.asarray(Z, dtype=complex)[None]
+
+
 class Family:
     """Evaluation rule (omega, Z) -> (value, tail).  Families are immutable
-    and deterministic; an Evaluator pins a family to one period matrix."""
+    and deterministic.  bind checks omega once and returns the family bound
+    to it (a Bound), which holds the work that depends only on omega;
+    value_tail is bind plus a stack of one."""
+
+    def bind(self, omega) -> "Bound":
+        raise NotImplementedError
 
     def value_tail(self, omega, Z) -> tuple[complex, float]:
+        (row,) = self.bind(omega).stack(_one_row(Z))
+        return row
+
+
+class Bound:
+    """A family bound to one checked period matrix ``omega``.
+
+    stack evaluates a (p, n) stack of Z and returns one (value, tail) per
+    row.  Each row is evaluated as it would be alone: everything that
+    depends on Z is computed per row, in the same order, so a row's value
+    and tail do not depend on the other rows.  Nothing is kept between
+    calls."""
+
+    family: Family
+    omega: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.omega.shape[0]
+
+    def stack(self, Zs) -> list[tuple[complex, float]]:
         raise NotImplementedError
 
 
 @dataclass(frozen=True)
 class Evaluator:
+    """A family pinned to one period matrix.  It holds the bound family
+    (``bound``, from Family.bind unless given, as lambda_action gives the
+    family bound over an existing one); calling it on one Z, or ``stack``
+    on a (p, n) stack of Z, evaluates that."""
+
     family: Family
     omega: np.ndarray
+    bound: Bound | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "omega", check_symmetric(self.omega))
+        bound = self.bound if self.bound is not None else self.family.bind(self.omega)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "omega", bound.omega)
 
     def __call__(self, Z) -> ThetaValue:
-        v, t = self.family.value_tail(self.omega, np.asarray(Z, dtype=complex))
-        return ThetaValue(v, t)
+        (tv,) = self.stack(_one_row(Z))
+        return tv
+
+    def stack(self, Zs) -> list[ThetaValue]:
+        return [ThetaValue(v, t) for v, t in self.bound.stack(Zs)]
 
 
 @dataclass(frozen=True)
@@ -257,31 +314,83 @@ class ConeSum(Family):
     """Sum of theta terms over a shifted cone, truncated at the smallest
     radius on a 1/8 grid whose certified tail bound clears the tolerance.
 
-    evaluate factors the cone once (lattice.ConeForm), solves for the first
-    radius whose first Gaussian shell alone is below tol
+    bind factors the cone once (lattice.ConeForm).  Each Z then solves for
+    the first radius whose first Gaussian shell alone is below tol
     (_first_shell_radius), checks it with the full tail_bound and steps up
     by 1/8 until the bound holds; typically the first check holds.  No
-    radius above max_radius is used (RadiusOverflow).  Returns (value,
-    tail bound, radius).
+    radius above max_radius is used (RadiusOverflow).  evaluate returns
+    (value, tail bound, radius).
     """
 
     cone: ConeSpec
     tol: float = DEFAULT_TOL
     max_radius: float = _MAX_RADIUS
 
-    def evaluate(self, omega, Z) -> tuple[complex, float, float]:
-        omega = check_symmetric(omega)
-        Z = np.asarray(Z, dtype=complex)
-        if self.cone.rank == 0:
-            return theta_term(self.cone.shift_float(), Z, omega), 0.0, 0.0
-        form = ConeForm(self.cone, omega.imag)
-        radius, bound = _solve_radius([form], Z, self.tol, self.max_radius, False)
-        pts = enumerate_cone(form, radius)
-        return complex_fsum(theta_terms(pts, Z, omega)), bound, radius
+    def bind(self, omega) -> "BoundConeSum":
+        return BoundConeSum(self, check_symmetric(omega))
 
-    def value_tail(self, omega, Z):
-        v, t, _ = self.evaluate(omega, Z)
-        return v, t
+    def evaluate(self, omega, Z) -> tuple[complex, float, float]:
+        (row,) = self.bind(omega).evaluate(_one_row(Z))
+        return row
+
+
+class BoundConeSum(Bound):
+    """A ConeSum over one period matrix: the cone's ConeForm (none for a
+    rank-0 cone, whose sum is the term of its shift)."""
+
+    def __init__(self, family: ConeSum, omega: np.ndarray):
+        self.family, self.omega = family, omega
+        cone = family.cone
+        if cone.rank:
+            self.form = ConeForm(cone, omega.imag)
+        else:
+            self.form, self.shift = None, cone.shift_float()
+
+    def points(self, radius: float) -> np.ndarray:
+        """The points the sum at this radius runs over (enumerate_cone; the
+        shift alone for a rank-0 cone)."""
+        if self.form is None:
+            return self.shift[None, :]
+        return enumerate_cone(self.form, radius)
+
+    def evaluate(self, Zs) -> list[tuple[complex, float, float]]:
+        """(value, tail bound, radius) for every row of a stack of Z.
+
+        Each row solves its own radius.  One enumerate_cone at the largest
+        serves every row: it sorts the points by norm, and its points up to
+        a smaller radius r are the prefix with tK Q K <= r**2 (the same
+        floats, in the same order), which is what that row sums.  The part
+        of the terms that does not depend on Z, tK omega K, is computed once
+        for the stack."""
+        Zs = as_stack(Zs, self.n)
+        if self.form is None:
+            return [(theta_term(self.shift, Z, self.omega), 0.0, 0.0) for Z in Zs]
+        fam = self.family
+        rows = [(Z, *_solve_radius([self.form], Z, fam.tol, fam.max_radius, False)) for Z in Zs]
+        top = max(radius for _, radius, _ in rows)
+        pts = enumerate_cone(self.form, top)
+        quad = form_values(pts, self.omega)
+        norms = None
+        out = []
+        for Z, radius, bound in rows:
+            count = len(pts)
+            if radius < top:
+                if norms is None:
+                    norms = form_values(pts, self.form.Q)
+                count = self._prefix(norms, radius)
+            out.append((complex_fsum(_terms(pts[:count], quad[:count], Z)), bound, radius))
+        return out
+
+    def _prefix(self, norms: np.ndarray, radius: float) -> int:
+        """How many of the sorted norms enumerate_cone keeps at radius
+        (none below its q_min cut-off)."""
+        r2 = radius**2
+        if r2 < self.form.q_min - 1e-12:
+            return 0
+        return int(np.searchsorted(norms, r2, side="right"))
+
+    def stack(self, Zs):
+        return [(value, tail) for value, tail, _ in self.evaluate(Zs)]
 
 
 @dataclass(frozen=True)
@@ -295,8 +404,8 @@ class WedgeSum(Family):
     |Theta_K| = e^E(K) is at most max(e^E(P c), e^E(T c)).  The points with
     c outside both ellipsoids Q(P c), Q(T c) <= r^2 are thus bounded by the
     two cones' tail_bounds, each point counted |c_0| times; the radius is
-    solved as for ConeSum, up to _MAX_RADIUS.  NotSplitAfterTransform when
-    Q is not positive on both cones or Q(N_k) > 0.
+    solved as for ConeSum, up to _MAX_RADIUS.  NotSplitAfterTransform (from
+    bind) when Q is not positive on both cones or Q(N_k) > 0.
     """
 
     basis: SplitBasis
@@ -306,20 +415,42 @@ class WedgeSum(Family):
     def __post_init__(self):
         object.__setattr__(self, "cones", wedge_cones(self.basis))
 
-    def value_tail(self, omega, Z):
-        omega = check_symmetric(omega)
-        Z = np.asarray(Z, dtype=complex)
-        Q, basis = omega.imag, self.basis
+    def bind(self, omega) -> "BoundWedgeSum":
+        return BoundWedgeSum(self, check_symmetric(omega))
+
+    # its own entry in the class, so that a tracer can wrap it per class
+    value_tail = Family.value_tail
+
+
+class BoundWedgeSum(Bound):
+    """A WedgeSum over one period matrix: the two cones' forms, checked for
+    the split once.  Rows of a stack that solve the same radius share one
+    enumerate_wedge and its tK omega K."""
+
+    def __init__(self, family: WedgeSum, omega: np.ndarray):
+        self.family, self.omega = family, omega
+        Q, basis = omega.imag, family.basis
         try:
-            forms = [ConeForm(cone, Q) for cone in self.cones]
+            self.forms = [ConeForm(cone, Q) for cone in family.cones]
         except NonPositiveRestriction:
             raise NotSplitAfterTransform("a wedge cone is not positive for the form") from None
         shear = basis.N[:, basis.k - 1].astype(float)
         if shear @ Q @ shear > 0:
             raise NotSplitAfterTransform("the form is positive on the shear direction")
-        radius, bound = _solve_radius(forms, Z, self.tol, _MAX_RADIUS, True)
-        K = enumerate_wedge(basis, forms, radius)
-        return complex_fsum(np.sign(K @ basis.M[:, basis.k]) * theta_terms(K, Z, omega)), bound
+
+    def stack(self, Zs):
+        Zs = as_stack(Zs, self.n)
+        basis = self.family.basis
+        signed = {}  # radius -> (points, signs, tK omega K), for this stack only
+        out = []
+        for Z in Zs:
+            radius, bound = _solve_radius(self.forms, Z, self.family.tol, _MAX_RADIUS, True)
+            if radius not in signed:
+                K = enumerate_wedge(basis, self.forms, radius)
+                signed[radius] = K, np.sign(K @ basis.M[:, basis.k]), form_values(K, self.omega)
+            K, sign, quad = signed[radius]
+            out.append((complex_fsum(sign * _terms(K, quad, Z)), bound))
+        return out
 
 
 @dataclass(frozen=True)
@@ -339,14 +470,31 @@ class LambdaShifted(Family):
     mvec: tuple
     nvec: tuple
 
-    def value_tail(self, omega, Z):
-        omega = check_symmetric(omega)
-        Z = np.asarray(Z, dtype=complex)
-        M = np.array(self.mvec, dtype=float)
-        N = np.array(self.nvec, dtype=float)
-        pref = theta_term(N, Z, omega)
-        v, t = self.inner.value_tail(omega, Z + M + omega @ N)
-        return pref * v, abs(pref) * t
+    def bind(self, omega) -> "BoundLambdaShifted":
+        return BoundLambdaShifted(self, self.inner.bind(omega))
+
+
+class BoundLambdaShifted(Bound):
+    """A LambdaShifted over the period matrix of its bound inner family:
+    tN omega N and omega N computed once."""
+
+    def __init__(self, family: LambdaShifted, inner: Bound):
+        self.family, self.inner, self.omega = family, inner, inner.omega
+        self.M = np.array(family.mvec, dtype=float)
+        self.N = np.array(family.nvec, dtype=float)
+        if self.M.shape != (self.n,) or self.N.shape != (self.n,):
+            raise ShapeMismatch("lattice pair and period matrix sizes differ")
+        self.tNoN = self.N @ self.omega @ self.N
+        self.oN = self.omega @ self.N
+
+    def stack(self, Zs):
+        Zs = as_stack(Zs, self.n)
+        out = []
+        for Z, (v, t) in zip(Zs, self.inner.stack(Zs + self.M + self.oN)):
+            # the theta term of N (theta_term), with tN omega N hoisted
+            pref = cmath.exp(1j * math.pi * (self.tNoN + 2.0 * (self.N @ Z)))
+            out.append((pref * v, abs(pref) * t))
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -369,13 +517,15 @@ def theta_char(
 
 def lambda_action(Mvec, Nvec, f: Evaluator, delta=None) -> Evaluator:
     """Act on an evaluator by the lattice pair (M, N) over its own period
-    matrix; the type vector ``delta`` twists the translation part to
-    Delta M for non-principal types."""
+    matrix, wrapping its bound family (nothing of f is computed again); the
+    type vector ``delta`` twists the translation part to Delta M for
+    non-principal types."""
     M = [int(x) for x in np.asarray(Mvec).ravel()]
     if delta is not None:
         M = [int(d) * m for d, m in zip(delta, M, strict=True)]
     N = tuple(int(x) for x in np.asarray(Nvec).ravel())
-    return Evaluator(LambdaShifted(f.family, tuple(M), N), f.omega)
+    family = LambdaShifted(f.family, tuple(M), N)
+    return Evaluator(family, f.omega, BoundLambdaShifted(family, f.bound))
 
 
 def wedge_function(basis: SplitBasis, omega, tol: float = DEFAULT_TOL) -> Evaluator:
@@ -421,7 +571,8 @@ def verify_cocycle(
 ) -> dict[str, float]:
     """Residuals of the untouched differentials applied to a cochain placed
     at position (1..k; empty): (N_j - 1) c for j > k and (M_i - 1) c for all
-    i, evaluated at five sample points drawn from ``seed``.
+    i, evaluated at five sample points drawn from ``seed``: one stack for c
+    and one per direction, all over c's bound family.
 
     ``columns`` is the 2n x 2n integer coordinate matrix of the basis (the
     first n columns are the N-type directions; SplitBasis.columns_2n()).
@@ -433,11 +584,11 @@ def verify_cocycle(
         raise ShapeMismatch("basis columns must be 2n x 2n")
     samples = sample_points(n, 5, seed)
     residuals: dict[str, float] = {}
-    base_vals = [c(Z).value for Z in samples]
+    base_vals = [tv.value for tv in c.stack(samples)]
     for name, mvec, nvec in _direction_pairs(columns, k, n):
         acted = lambda_action(mvec, nvec, c, delta=delta)
         resid = 0.0
-        for Z, base in zip(samples, base_vals):
-            resid = max(resid, abs(acted(Z).value - base))
+        for tv, base in zip(acted.stack(samples), base_vals):
+            resid = max(resid, abs(tv.value - base))
         residuals[name] = resid
     return residuals

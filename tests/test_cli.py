@@ -5,9 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conetheta import cli
 from conetheta.cli import main
+from conetheta.errors import ConethetaError
 from conetheta.serialize import (
     basis_to_json,
+    dumps_canonical,
     int_matrix_to_json,
     json_to_basis,
     json_to_modular,
@@ -523,3 +526,56 @@ def test_verify_all_reports_the_readme_check_list(tmp_path, capsys):
     skipped = {suite["suite"]: suite["skipped"] for suite in report["suites"] if "skipped" in suite}
     assert skipped == {"modular-case3-1d": "suite requires n = 1"}
     assert report["pass"]
+
+
+def _each_suite_searching(inst) -> str:
+    """The verify --suite all report with every suite run on the instance as
+    loaded, so that each suite that needs a split basis searches for it."""
+    reports, overall = [], True
+    for name, suite in cli.SUITES.items():
+        try:
+            rep = suite(inst)
+        except ConethetaError as exc:
+            reports.append({"suite": name, "skipped": str(exc)})
+            continue
+        overall = overall and rep.passed
+        reports.append(rep.to_json())
+    return dumps_canonical({"suites": reports, "pass": overall}) + "\n"
+
+
+_N3 = {
+    "n": 3,
+    "k": 1,
+    "omega": cm([[0.1 - 1.0j, 0.05, 0.0], [0.05, -0.2 + 1.5j, 0.1 + 0.2j], [0.0, 0.1 + 0.2j, 2.0j]]),
+    "g": {"A": np.eye(3, dtype=int).tolist(), "B": [[2, 1, 0], [1, 0, 1], [0, 1, 2]],
+          "C": [[0] * 3] * 3, "D": np.eye(3, dtype=int).tolist()},
+    "characteristic": {"a": ["0", "1/2", "1/2"], "delta": [1, 2, 2]},
+    "seed": 11,
+}
+#: the hyperbolic plane: no split basis within the default bound
+_HYPERBOLIC = {"n": 2, "k": 1, "omega": cm([[0, 1j], [1j, 0]]), "seed": 3}
+
+
+@pytest.mark.parametrize("payload", [_N3, _HYPERBOLIC], ids=["found", "not-found"])
+def test_verify_all_searches_the_split_basis_once(payload, tmp_path, capsys, monkeypatch):
+    inst = write(tmp_path, "i.json", payload)
+    calls = []
+    search = cli.find_split_basis
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "find_split_basis", counted)
+    code = main(["verify", "--instance", inst, "--suite", "all"])
+    out = capsys.readouterr().out
+    if payload is _N3:
+        assert len(calls) == 1
+    else:
+        # a failed search leaves the instance without a basis, and every
+        # suite that needs one is skipped with the search's own message
+        skipped = [r for r in json.loads(out)["suites"] if "skipped" in r]
+        assert {r["skipped"] for r in skipped} >= {"no split basis with entries bounded by 3"}
+    monkeypatch.undo()
+    assert out == _each_suite_searching(parse_instance(payload))
+    assert code == (0 if json.loads(out)["pass"] else 1)

@@ -9,20 +9,24 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conetheta import intmat, lattice
+from conetheta import intmat, lattice, modular, theta
 from conetheta.errors import (
     BadCharacteristic,
     NonPositiveRestriction,
     NotSplitAfterTransform,
     RadiusOverflow,
+    ShapeMismatch,
     ValidationError,
 )
-from conetheta.lattice import ConeForm, ConeSpec, SplitBasis, enumerate_cone
+from conetheta.lattice import ConeForm, ConeSpec, ModularElement, SplitBasis, enumerate_cone
+from conetheta.modular import ModularImage, modular_apply
 from conetheta.rng import SplitMix64
 from conetheta.theta import (
     Characteristic,
     ConeSum,
     Evaluator,
+    LambdaShifted,
+    WedgeSum,
     complex_fsum,
     cone_sum,
     lambda_action,
@@ -166,6 +170,24 @@ def test_cone_sum_factors_the_cone_once(monkeypatch):
     counts.clear()
     theta_char(Characteristic((0, Fraction(1, 2), 0), (1, 2, 2)), Z, omega, cone)
     assert dict(counts) == {"eigvalsh": 1, "cholesky": 1}
+
+    # a whole verify_cocycle binds the cone once: one factorisation, and one
+    # enumerate_cone per stack (the base values and one per direction)
+    counted(theta, "enumerate_cone")
+    counts.clear()
+    basis = SplitBasis.identity(3, 1)
+    residuals = verify_cocycle(Evaluator(ConeSum(cone), omega), basis.columns_2n(), basis.k)
+    assert len(residuals) == 5
+    assert dict(counts) == {"eigvalsh": 1, "cholesky": 1, "enumerate_cone": 1 + len(residuals)}
+
+    # the image under an upper-triangular element transforms omega once
+    counted(modular, "omega_transform")
+    counts.clear()
+    g = ModularElement(np.eye(3), np.array([[2, 1, 0], [1, 0, 1], [0, 1, 2]]), np.zeros((3, 3)), np.eye(3))
+    cg = modular_apply(g, Evaluator(ConeSum(cone), omega), 1.0)
+    residuals = verify_cocycle(cg, lattice.transform_basis(g, basis)[0], basis.k)
+    assert counts["omega_transform"] == 1
+    assert counts["enumerate_cone"] == 1 + len(residuals)
 
 
 def test_tail_is_true_bound():
@@ -529,3 +551,111 @@ def test_radius_search_is_smallest_certifying_radius(case):
     assume(math.prod(len(r) for r in _box(cone, omega.imag, wide)) <= _MAX_BOX)
     reference = _box_filter_sum(cone, omega, Z, wide)
     assert abs(value - reference) <= bound + tail_bound(form, Z, wide) + 1e-14
+
+
+# ---------------------------------------------------------------------------
+# bound families and stacks of Z
+
+
+def _same_rows(family, omega, Zs):
+    """A bound stack of Z gives, row by row, what a one-Z call gives."""
+    rows = family.bind(omega).stack(Zs)
+    assert len(rows) == len(Zs)
+    for Z, (value, tail) in zip(Zs, rows):
+        want_value, want_tail = family.value_tail(omega, Z)
+        assert value == want_value and tail == want_tail
+
+
+def _z_stacks(n):
+    # rows with Im Z of different sizes solve different radii
+    row = st.tuples(
+        st.lists(st.floats(-0.5, 0.5), min_size=n, max_size=n),
+        st.lists(st.floats(-0.3, 0.3), min_size=n, max_size=n),
+    )
+    return st.lists(row, min_size=1, max_size=5).map(
+        lambda rows: np.array([np.array(re) + 1j * np.array(im) for re, im in rows])
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(_radius_cases(), st.data())
+def test_stack_matches_single_rows(case, data):
+    cone, omega, _, tol = case
+    n = cone.n
+    Zs = data.draw(_z_stacks(n))
+    fam = ConeSum(cone, max(tol, 1e-12))
+    _same_rows(fam, omega, Zs)
+    pair = st.lists(st.integers(-1, 1), min_size=n, max_size=n)
+    _same_rows(LambdaShifted(fam, tuple(data.draw(pair)), tuple(data.draw(pair))), omega, Zs)
+    # an upper-triangular element (C = 0): a GL_n block, then a symmetric
+    # translation; Im(omega) is positive definite, so the cone stays positive
+    U = np.eye(n, dtype=np.int64)
+    moves = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-1, 1))
+    for i, j, c in data.draw(st.lists(moves, max_size=3)):
+        if i != j:
+            U[i] += c * U[j]
+    S = np.array(data.draw(st.lists(st.integers(-2, 2), min_size=n * n, max_size=n * n))).reshape(n, n)
+    zero = np.zeros((n, n), dtype=np.int64)
+    g = ModularElement(np.eye(n), S + S.T, zero, np.eye(n)) @ ModularElement(
+        U.T, zero, zero, intmat.unimodular_inverse(U)
+    )
+    _same_rows(ModularImage(fam, g, 1j), omega, Zs)
+
+
+#: forms split by the identity basis at k = 1: Q(N_1) < 0, and Q is
+#: positive on the plain and the sheared cone
+_WEDGE_OMEGAS = (WOM, np.array([[0.1 - 1.0j, 0.2 + 0.3j], [0.2 + 0.3j, -0.1 + 2.0j]]))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(_WEDGE_OMEGAS), _z_stacks(2))
+def test_wedge_stack_matches_single_rows(omega, Zs):
+    _same_rows(WedgeSum(WBASIS, 1e-10), omega, Zs)
+
+
+def test_stack_rows_with_different_radii():
+    # the first row's radius, 3, is the norm of its outermost points +-3:
+    # its prefix ends on a tie with r**2
+    fam = ConeSum(FULL1, 1e-10)
+    Zs = np.array([[0.1 + 0.1j], [0.2 + 0.3j], [-0.4 + 0.0j], [0.1 + 0.1j]])
+    rows = fam.bind(OM1).evaluate(Zs)
+    assert rows[0][2] == 3.0 and len({radius for _, _, radius in rows}) == 3
+    for Z, row in zip(Zs, rows):
+        assert row == fam.evaluate(OM1, Z)
+
+
+@pytest.mark.parametrize(
+    "cone, omega",
+    [
+        (ConeSpec(np.zeros((2, 0), dtype=np.int64), (Fraction(1, 2), 0)), np.diag([-1j, -2j])),
+        (ConeSpec(np.array([[0], [1]]), (Fraction(1, 3), Fraction(1, 2))), np.diag([-1j, 1j])),
+    ],
+    ids=["rank0", "shifted"],
+)
+def test_stack_rank0_and_shifted_cones(cone, omega):
+    Zs = np.array([[0.1 + 0.2j, -0.3 + 0.1j], [0.4 - 0.3j, 0.2 + 0.0j]])
+    for fam in (ConeSum(cone, 1e-12), LambdaShifted(ConeSum(cone, 1e-12), (1, 0), (0, 1))):
+        _same_rows(fam, omega, Zs)
+        _same_rows(fam, omega, Zs[:1])  # a stack of one
+
+
+@pytest.mark.parametrize(
+    "shape", [(2,), (1, 3), (3, 1), (0, 2), (1, 1, 2)], ids=["one-d", "wide", "narrow", "empty", "three-d"]
+)
+def test_stack_shape_mismatch(shape):
+    families = (
+        ConeSum(ConeSpec(np.array([[0], [1]]), (0, 0))),
+        ConeSum(ConeSpec(np.zeros((2, 0), dtype=np.int64), (0, 0))),
+        WedgeSum(WBASIS),
+    )
+    for fam in families:
+        bound = fam.bind(WOM)
+        for wrapped in (bound, theta.BoundLambdaShifted(LambdaShifted(fam, (0, 0), (1, 0)), bound)):
+            with pytest.raises(ShapeMismatch):
+                wrapped.stack(np.zeros(shape, dtype=complex))
+    g = ModularElement(np.eye(2), np.array([[2, 1], [1, 0]]), np.zeros((2, 2)), np.eye(2))
+    with pytest.raises(ShapeMismatch):
+        ModularImage(families[0], g).bind(WOM).stack(np.zeros(shape, dtype=complex))
+    if len(shape) == 1:
+        with pytest.raises(ShapeMismatch):
+            families[0].evaluate(WOM, np.zeros(3))  # a single Z of the wrong length
