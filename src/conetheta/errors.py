@@ -62,10 +62,6 @@ class NonconvergentContour(ConethetaError):
     """The contour integral cannot converge for the given parameters."""
 
 
-class SignatureBroken(ConethetaError):
-    """A finite-difference perturbation changed the signature of Im(omega)."""
-
-
 class WindowOverflow(ConethetaError):
     """A shifted support no longer fits inside the coefficient window."""
 

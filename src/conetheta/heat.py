@@ -14,8 +14,8 @@ import math
 
 import numpy as np
 
-from .errors import ShapeMismatch, SignatureBroken
-from .linalg import check_symmetric, signature
+from .errors import ShapeMismatch
+from .linalg import check_symmetric
 from .theta import Family, theta_terms
 
 DEFAULT_EPS = 1e-4
@@ -55,16 +55,13 @@ def heat_term_residual(K, omega, i: int, j: int) -> float:
 def fd_omega_derivative(family: Family, omega, Z, i: int, j: int, eps: float) -> complex:
     """Central difference approximation of the independent-entry derivative
     d/d omega_ij along symmetric perturbations; the i != j direction is
-    halved to undo the doubled directional derivative."""
+    halved to undo the doubled directional derivative.  The steps are
+    real, so they keep Im(omega), and with it its signature, bit for bit."""
     omega = check_symmetric(omega)
     n = omega.shape[0]
     ii, jj = _check_indices(n, i, j)
     E = np.zeros((n, n))
     E[ii, jj] = E[jj, ii] = 1.0  # one entry when i == j
-    sig = signature(omega.imag)
-    for sgn in (+1.0, -1.0):
-        if signature((omega + sgn * eps * E).imag) != sig:
-            raise SignatureBroken("perturbation changed the signature of Im(omega)")
     Z = np.asarray(Z, dtype=complex)
     plus, _ = family.value_tail(omega + eps * E, Z)
     minus, _ = family.value_tail(omega - eps * E, Z)

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BadCharacteristic, NonPositiveRestriction, NotSplitAfterTransform
-from .errors import RadiusOverflow, ShapeMismatch
+from .errors import RadiusOverflow, ShapeMismatch, ValidationError
 from .lattice import (
     ConeForm,
     ConeSpec,
@@ -42,9 +42,16 @@ _MAX_RADIUS = 64.0
 
 def complex_fsum(values) -> complex:
     """Correctly rounded sum of complex values (math.fsum on the real and
-    imaginary parts); the result does not depend on the order."""
+    imaginary parts); the result does not depend on the order.  A term that
+    is not finite, or a sum beyond the double range, raises ValidationError."""
     values = np.asarray(values, dtype=complex)
-    return complex(math.fsum(values.real), math.fsum(values.imag))
+    try:
+        total = complex(math.fsum(values.real), math.fsum(values.imag))
+        if cmath.isfinite(total):
+            return total
+    except (OverflowError, ValueError):  # intermediate overflow, inf - inf
+        pass
+    raise ValidationError("a term or the sum is beyond the double range")
 
 
 def theta_terms(K, Z, omega) -> np.ndarray:

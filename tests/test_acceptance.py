@@ -34,11 +34,12 @@ from conetheta.koszul import (
     type_III,
 )
 from conetheta.lattice import ConeSpec, ModularElement, random_gamma12
-from conetheta.modular import ModularImage, omega_transform, theta_g_term
+from conetheta.modular import ModularImage, omega_transform
 from conetheta.rng import SplitMix64
 from conetheta.serialize import ProblemInstance, parse_instance
 from conetheta.theta import ConeSum, cone_sum, sample_points
 from conetheta.reduced import cohomology_ranks
+from test_modular import theta_g_term
 
 
 def _report(num: int, name: str, ok: bool):

@@ -328,6 +328,21 @@ def test_transform_inversion(tmp_path, capsys):
     assert out["zeta"] is None  # no reference identity at positive index zero
 
 
+def test_transform_minus_identity(tmp_path, capsys):
+    # every ratio is -i, and other candidates tie in their distance to it
+    payload = {
+        "n": 1,
+        "k": 0,
+        "omega": cm([[0.1 + 1j]]),
+        "g": {"A": [[-1]], "B": [[0]], "C": [[0]], "D": [[-1]]},
+    }
+    inst = write(tmp_path, "i.json", payload)
+    assert main(["transform", "--instance", inst]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert abs(out["zeta"]["re"]) < 1e-15 and out["zeta"]["im"] == -1.0
+    assert out["residuals"]["zeta_fit"] < 1e-15
+
+
 def test_split_basis_swap(tmp_path, capsys):
     # Im(omega) = diag(1, -1) with k = 1 forces the column swap
     payload = {"n": 2, "k": 1, "omega": cm(np.diag([1j, -1j]))}

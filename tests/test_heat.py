@@ -120,8 +120,8 @@ def test_fd_characteristic():
 
 
 def test_fd_perturbations_preserve_signature():
-    # real-direction steps leave Im(omega) untouched, so the defensive
-    # signature check passes even close to degeneracy
+    # real-direction steps leave Im(omega), and so its signature, untouched,
+    # even close to degeneracy
     fam = ConeSum(ConeSpec.full_lattice(1), 1e-10)
     thin = np.array([[0.1j]])
     r = heat_fd_residual(fam, thin, np.array([0.05 + 0j]), 1, 1, eps=1e-4)

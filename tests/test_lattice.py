@@ -609,6 +609,10 @@ def _wedge_gram(n, k, b):
     return G
 
 
+#: a wedge basis with large entries; its forms are near-degenerate
+_FAR_N = np.array([[1, 0, 0, 0], [-64, 9, 16, 0], [28, -4, -7, 0], [0, 0, 0, 1]], dtype=np.int64)
+
+
 @st.composite
 def _wedge_bases(draw):
     """(N, M, b): a random unimodular N with M = tN^-1 at n = 2..4, and the
@@ -687,9 +691,12 @@ def _wedge_box_sum(basis, omega, Z, target):
 )
 # a fixed box |t|, |c_i| <= 12 left out 6.2e65 of 7.26e72 here (k = 1)
 @example((np.eye(4, dtype=np.int64), np.eye(4, dtype=np.int64), [1, 1, 1]), 1e-2, 0, [-1, -1, 0, 0])
+# the terms of the k = 1 sum overflow (see test_wedge_sum_beyond_double_range)
+@example((_FAR_N, unimodular_inverse(_FAR_N).T, [1, 0, 0]), 1e-2, 0, [0, 0, 0, 0])
 def test_wedge_tail_is_certified(case, tol, seed, u):
     """Every WedgeSum tail is a true bound, at a sample Z and at the
-    lambda-shifted Z + omega N u.
+    lambda-shifted Z + omega N u.  A sum beyond the double range raises
+    ValidationError, and then the reference must overflow as well.
 
     The bound rests on concavity: a coefficient vector c carries |c_0|
     points on the segment from P c to T c (P, T the plain and sheared
@@ -709,10 +716,39 @@ def test_wedge_tail_is_certified(case, tol, seed, u):
         omega = 0.1 * np.add.outer(np.arange(n), np.arange(n)) + 1j * Q
         Z = sample_points(n, 1, seed)[0]
         for at in (Z, Z + omega @ (N @ np.array(u[:n]))):
-            value, tail = WedgeSum(basis, tol).value_tail(omega, at)
+            try:
+                value, tail = WedgeSum(basis, tol).value_tail(omega, at)
+            except ValidationError:
+                with pytest.raises((OverflowError, ValidationError)):
+                    _wedge_box_sum(basis, omega, at, 1e-3 * tol)
+                continue
             assert tail <= tol
             ref, allowance = _wedge_box_sum(basis, omega, at, 1e-3 * tol)
             assert abs(value - ref) <= tail + allowance
+
+
+def _far_wedge_instance():
+    """The form of _FAR_N split at k = 1, as an instance carrying that basis."""
+    Q = unimodular_inverse(_FAR_N).T @ _wedge_gram(4, 1, [1, 0, 0]) @ unimodular_inverse(_FAR_N)
+    omega = 0.1 * np.add.outer(np.arange(4), np.arange(4)) + 1j * Q
+    return omega, {
+        "n": 4,
+        "k": 1,
+        "omega": [[{"re": float(x.real), "im": float(x.imag)} for x in row] for row in omega],
+        "basis": {"n": 4, "k": 1, "N": _FAR_N.tolist(), "M": unimodular_inverse(_FAR_N).T.tolist()},
+    }
+
+
+def test_wedge_sum_beyond_double_range(tmp_path):
+    # Q has an eigenvalue of -2e-4, and the terms of the k = 1 wedge sum
+    # overflow: a documented error, exit 2 from the CLI, never a traceback
+    omega, payload = _far_wedge_instance()
+    basis = SplitBasis(_FAR_N, unimodular_inverse(_FAR_N).T, 1)
+    with pytest.raises(ValidationError):
+        WedgeSum(basis, 1e-2).value_tail(omega, sample_points(4, 1, 0)[0])
+    inst = tmp_path / "far.json"
+    inst.write_text(json.dumps(payload))
+    assert main(["verify", "--instance", str(inst), "--suite", "wedge"]) == 2
 
 
 def test_enumerate_wedge_signs():

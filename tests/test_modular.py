@@ -1,23 +1,24 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from conetheta.errors import NonconvergentContour, SingularDenominator, ValidationError
 from conetheta.lattice import ConeSpec, ModularElement, SplitBasis, random_gamma12, transform_basis
-from conetheta.linalg import signature
+from conetheta.linalg import principal_sqrt_det, signature
 from conetheta.modular import (
     EIGHTH_ROOTS,
     ModularImage,
     contour_f,
     contour_integrand,
     determine_zeta,
+    fit_eighth_root,
     inversion_rhs,
     modular_apply,
     omega_transform,
     shift_rhs,
-    theta_g_term,
     verify_case3_1d,
 )
 from conetheta.rng import SplitMix64
@@ -130,6 +131,23 @@ def test_modular_apply_composition_ratio_n2():
         assert abs(ratios[0] ** 8 - 1.0) < 1e-7
 
 
+def theta_g_term(K, Z, omega, g: ModularElement, zeta: complex) -> complex:
+    """Single transformed theta term, the oracle of the quasi-shift tests:
+
+        zeta det(C omega^g + D)^{1/2} exp(pi i tZ C t(C omega^g + D) Z)
+        exp(pi i tK omega^g K + 2 pi i tK t(C omega^g + D) Z).
+    """
+    Z = np.asarray(Z, dtype=complex)
+    K = np.asarray(K, dtype=float)
+    og = omega_transform(g, omega)
+    CT = g.C.astype(complex)
+    T = (CT @ og + g.D.astype(complex)).T
+    val = zeta * principal_sqrt_det(T.T)
+    val *= cmath.exp(1j * math.pi * (Z @ CT @ T @ Z))
+    val *= cmath.exp(1j * math.pi * (K @ og @ K + 2.0 * (K @ (T @ Z))))
+    return val
+
+
 def test_theta_g_term_identity_element():
     K = np.array([1.0, -1.0])
     for Z in sample_points(2, 3):
@@ -201,6 +219,52 @@ def test_contour_requires_negative_imag():
         contour_f(0.0, 1j, 1, 0)
 
 
+def _mp_contour(z, tau, kpole, nshift):
+    """The integral of contour_f in 30-digit mpmath arithmetic: mpmath.quad
+    over the same line y = kpole - 1/2 + i s, oriented from s = +inf to
+    s = -inf, split at unit steps across the Gaussian around its peak."""
+    mp = mpmath.mp.clone()
+    mp.dps = 30
+    z, tau = mp.mpc(z), mp.mpc(tau)
+    c = mp.mpf(kpole) - mp.mpf(1) / 2
+
+    def integrand(s):  # f(y) dy/ds
+        y = c + mp.j * s
+        num = mp.exp(mp.j * mp.pi * tau * y * y + 2 * mp.j * mp.pi * (z + nshift) * y)
+        return mp.j * num / (mp.exp(2 * mp.j * mp.pi * y) - 1)
+
+    peak = (tau.real * c + z.real + nshift) / tau.imag
+    half = int(mp.sqrt(30 / -tau.imag)) + 3
+    cuts = [peak + k for k in range(half, -half - 1, -1)]
+    return complex(mp.quad(integrand, [mp.inf] + cuts + [-mp.inf]))
+
+
+@pytest.mark.parametrize(
+    "z, tau, kpole, nshift, tol",
+    [
+        (0.3, -1j, 1, 0, 1e-11),
+        (0.3 + 0.2j, 0.3 - 1.2j, 1, 0, 1e-11),
+        (0.1 - 0.1j, -2j, 1, 2, 1e-11),
+        (1.3 + 0.2j, 0.1 - 0.3j, 1, 0, 1e-11),
+        (0.1, 0.4 - 1j, 0, 1, 1e-11),
+        (-0.7, 0.1 - 0.3j, 0, 0, 1e-10),
+        (0.3, -1j, -1, 1, 1e-10),
+        (-0.4 + 0.1j, -0.8j, 1, -1, 1e-10),
+    ],
+)
+def test_contour_matches_mpmath_oracle(z, tau, kpole, nshift, tol):
+    assert abs(contour_f(z, tau, kpole, nshift, tol) - _mp_contour(z, tau, kpole, nshift)) < tol
+
+
+def test_contour_refuses_tol_below_its_rounding():
+    # the nodes near the peak reach 1e6 here; every level of the nested
+    # rule shares their rounding, and without the guard two levels agree on
+    # a value 1.8e-10 off the oracle
+    with pytest.raises(NonconvergentContour):
+        contour_f(0.3, -2j, 2, 0, 1e-10)
+    assert abs(contour_f(0.3, -2j, 2, 0, 1e-8) - _mp_contour(0.3, -2j, 2, 0)) < 1e-8
+
+
 def test_contour_period_identity():
     # (period action - 1) f = -exp(pi i tau k^2 + 2 pi i k z)
     for tau in (-1j, -2j, 0.3 - 1.2j):
@@ -238,6 +302,13 @@ def test_case3_zeta_value():
 
 # ---------------------------------------------------------------------------
 # multiplier determination
+
+@pytest.mark.parametrize("root", EIGHTH_ROOTS)
+def test_fit_eighth_root_exact_ratio(root):
+    # other candidates tie in their distance to the ratio; the fit must not
+    # compare the candidates themselves
+    assert fit_eighth_root([root]) == (root, 0.0)
+
 
 def test_determine_zeta_identity():
     zeta, resid = determine_zeta(ModularElement.identity(2), OM2)
