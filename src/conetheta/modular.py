@@ -139,10 +139,11 @@ def contour_f(z: complex, tau: complex, kpole: int, nshift: int, tol: float = 1e
     The Gaussian truncation keeps the omitted tails below tol/2.  On the
     window the integrand is analytic in the strip |Im s| < 1/2 (its poles
     sit at the integers), so the trapezoidal rule converges like
-    exp(-pi/h) in its step h: the step starts at about 1/8 and is halved,
+    exp(-pi/h) in its step h: the step starts at 1/8 and is halved,
     evaluating only the new midpoints, until successive values agree to
-    tol/4.  Where an estimate of the rounding of the nodes alone exceeds
-    tol, or the step falls below 2S/2^18, NonconvergentContour is raised.
+    tol/4 and an estimate of the nodes' rounding noise is below tol/4 too.
+    A window wider than 2^18 steps of 1/8, or a step below 2S/2^18, raises
+    NonconvergentContour.
     """
     if tau.imag >= 0:
         raise NonconvergentContour("Im(tau) must be negative")
@@ -157,27 +158,33 @@ def contour_f(z: complex, tau: complex, kpole: int, nshift: int, tol: float = 1e
     S = abs(s_peak) + width + 2.0
 
     while True:
-        steps = math.ceil(16 * S)
-        y = c + 1j * np.linspace(-S, S, steps + 1)
+        if not S <= _MAX_STEPS / 16:  # also for an infinite or nan window
+            raise NonconvergentContour("contour window too wide for the step cap")
+        # S rounded up to the 1/8 grid and power-of-two steps make every node
+        # an exact binary fraction: rounding stretches no level's grid, an
+        # error that all nested levels would share and none could show
+        steps = 2 * math.ceil(8 * S)
+        h = 1 / 8
+        y = c + 1j * h * np.arange(-steps // 2, steps // 2 + 1)
         nodes = contour_integrand(y, z, tau, nshift)
-        # the levels share their nodes, so their agreement cannot show the
-        # nodes' own rounding, about 1 + |exponent| ulps each; its
-        # root-sum-square must stay below tol
-        ulps = 1 + np.abs(_exponent(y, z, tau, nshift))
-        if 2**-52 * (2 * S / steps) * np.linalg.norm(nodes * ulps) > tol:
-            raise NonconvergentContour("rounding of the integrand exceeds tol")
+        # a node carries about 1 + |exponent| units of rounding; successive
+        # levels show that noise only as it averages down, by sqrt(2) a
+        # level, so two levels agreeing by chance count only below it
+        noise = 2**-53 * h * np.linalg.norm(nodes * (1 + np.abs(_exponent(y, z, tau, nshift))))
         ends = abs(nodes[0]) + abs(nodes[-1])
         nodes[[0, -1]] /= 2
         sums = [complex_fsum(nodes)]
         prev = None
         while steps <= _MAX_STEPS:
-            val = -1j * (2 * S / steps) * complex_fsum(sums)
-            if prev is not None and abs(val - prev) < tol / 4:
+            val = -1j * h * complex_fsum(sums)
+            if prev is not None and abs(val - prev) < tol / 4 and noise < tol / 4:
                 if ends < tol:
                     return val
                 break  # endpoints not negligible: widen
             prev = val
-            mid = c + 1j * (-S + (2 * np.arange(steps) + 1) * (S / steps))
+            h /= 2
+            noise /= math.sqrt(2)
+            mid = c + 1j * h * np.arange(1 - steps, steps, 2)
             sums.append(complex_fsum(contour_integrand(mid, z, tau, nshift)))
             steps *= 2
         else:

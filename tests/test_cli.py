@@ -343,6 +343,20 @@ def test_transform_minus_identity(tmp_path, capsys):
     assert out["residuals"]["zeta_fit"] < 1e-15
 
 
+def test_transform_inversion_too_wide_a_contour(tmp_path, capsys):
+    # Im(tau) = -1e-9 puts the contour's Gaussian window past its step cap
+    payload = {
+        "n": 1,
+        "k": 1,
+        "omega": cm([[0.3 - 1e-9j]]),
+        "g": {"A": [[0]], "B": [[-1]], "C": [[1]], "D": [[0]]},
+    }
+    inst = write(tmp_path, "i.json", payload)
+    assert main(["transform", "--instance", inst]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["zeta"] is None and "zeta_fit" not in out["residuals"]
+
+
 def test_split_basis_swap(tmp_path, capsys):
     # Im(omega) = diag(1, -1) with k = 1 forces the column swap
     payload = {"n": 2, "k": 1, "omega": cm(np.diag([1j, -1j]))}

@@ -5,6 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from conetheta import modular
 from conetheta.errors import NonconvergentContour, SingularDenominator, ValidationError
 from conetheta.lattice import ConeSpec, ModularElement, SplitBasis, random_gamma12, transform_basis
 from conetheta.linalg import principal_sqrt_det, signature
@@ -250,6 +251,8 @@ def _mp_contour(z, tau, kpole, nshift):
         (-0.7, 0.1 - 0.3j, 0, 0, 1e-10),
         (0.3, -1j, -1, 1, 1e-10),
         (-0.4 + 0.1j, -0.8j, 1, -1, 1e-10),
+        (-0.64 - 0.03j, -1.05 - 0.98j, 2, 1, 1e-11),
+        (1.3, 0.99 - 0.24j, 1, 0, 1e-11),
     ],
 )
 def test_contour_matches_mpmath_oracle(z, tau, kpole, nshift, tol):
@@ -257,12 +260,43 @@ def test_contour_matches_mpmath_oracle(z, tau, kpole, nshift, tol):
 
 
 def test_contour_refuses_tol_below_its_rounding():
-    # the nodes near the peak reach 1e6 here; every level of the nested
-    # rule shares their rounding, and without the guard two levels agree on
-    # a value 1.8e-10 off the oracle
+    # the nodes reach 3e6 here and carry about 1e-9 of rounding noise; the
+    # levels' differences shrink with it by sqrt(2) a level, and without the
+    # noise condition two levels agree by chance on a value 6.9e-10 off
+    z, tau = 1.5612336237419 - 1.0021958961055937j, 0.1120518158219368 - 0.7284291279210309j
     with pytest.raises(NonconvergentContour):
-        contour_f(0.3, -2j, 2, 0, 1e-10)
-    assert abs(contour_f(0.3, -2j, 2, 0, 1e-8) - _mp_contour(0.3, -2j, 2, 0)) < 1e-8
+        contour_f(z, tau, 1, 1, 1e-10)
+    assert abs(contour_f(z, tau, 1, 1, 1e-8) - _mp_contour(z, tau, 1, 1)) < 1e-8
+
+
+def test_contour_levels_nest_on_an_exact_grid(monkeypatch):
+    # every level evaluates only new midpoints, and together the levels
+    # cover one uniform grid of exact binary fractions on the line
+    seen = []
+
+    def recording(y, *args):
+        seen.append(np.asarray(y))
+        return contour_integrand(y, *args)
+
+    monkeypatch.setattr(modular, "contour_integrand", recording)
+    contour_f(0.3 + 0.2j, 0.3 - 1.2j, 2, 1, 1e-11)
+    assert len(seen) >= 3
+    s = np.sort(np.concatenate(seen).imag)
+    assert all((y.real == 1.5).all() for y in seen)
+    h = s[1] - s[0]
+    assert h == 2.0 ** -round(math.log2(1 / h)) and h <= 1 / 16
+    assert np.array_equal(s, s[0] + h * np.arange(len(s))) and s[0] == -s[-1]
+
+
+@pytest.mark.parametrize("tau", [0.3 - 1e-9j, 0.3 - 1e-300j, complex(0.3, -5e-324)])
+def test_contour_window_cap_precedes_evaluation(tau, monkeypatch):
+    # the window grows like 1/|Im tau|; past the step cap nothing is evaluated
+    def no_nodes(*args):
+        raise AssertionError("integrand evaluated")
+
+    monkeypatch.setattr(modular, "contour_integrand", no_nodes)
+    with pytest.raises(NonconvergentContour):
+        contour_f(0.3, tau, 1, 0)
 
 
 def test_contour_period_identity():
@@ -328,6 +362,14 @@ def test_determine_zeta_inversion():
     assert resid < 1e-8
     assert abs(zeta**8 - 1.0) < 1e-12
     assert abs(zeta - cmath.exp(-3j * math.pi / 4)) < 1e-12
+
+
+def test_determine_zeta_inversion_small_imaginary_part():
+    # the contour at z = 1.3 carries rounding noise near the 1e-11 the probes
+    # are integrated to; the root is exp(-3 pi i / 4) for every lower-half tau
+    zeta, resid = determine_zeta(J1, np.array([[0.99 - 0.24j]]))
+    assert abs(zeta - cmath.exp(-3j * math.pi / 4)) < 1e-12
+    assert resid < 1e-9
 
 
 def test_determine_zeta_unavailable_reference():
