@@ -61,6 +61,7 @@ from .lattice import (
 )
 from .linalg import principal_sqrt_det, signature
 from .modular import (
+    BoundModularImage,
     ModularImage,
     determine_zeta,
     modular_apply,
@@ -184,21 +185,22 @@ def suite_heat(inst: ProblemInstance) -> VerificationReport:
     basis, cone = _positive_cone(inst)
     fam = ConeSum(cone, 1e-13)
     Z = np.full(n, 0.2 + 0.05j, dtype=complex)
-    # the termwise identity on the points the fd family's sum enumerates
+    # each family is bound once: every fd step rebinds it, and its value at
+    # Z serves every diagonal stencil
     bound = fam.bind(inst.omega)
-    ((_, _, radius),) = bound.evaluate([Z])
+    ((centre, _, radius),) = bound.evaluate([Z])
+    # the termwise identity on the points the fd family's sum enumerates
     points = bound.points(radius)
     residuals = [heat_term_residual(points, inst.omega, i, j) for i, j in pairs]
     rep.add("termwise_max", float(np.max(residuals)), tol_term)
 
-    def add_fd(prefix: str, family) -> None:
+    def add_fd(prefix: str, bound, centre: complex) -> None:
         for i, j in pairs:
-            r = heat_fd_residual(family, inst.omega, Z, i, j)
-            rep.add("%s_%d%d" % (prefix, i, j), r, tol_fd)
+            rep.add("%s_%d%d" % (prefix, i, j), heat_fd_residual(bound, Z, centre, i, j), tol_fd)
 
-    add_fd("fd", fam)
-    r_coarse = heat_fd_residual(fam, inst.omega, Z, n, n, eps=2e-3)
-    r_fine = heat_fd_residual(fam, inst.omega, Z, n, n, eps=1e-3)
+    add_fd("fd", bound, centre)
+    r_coarse = heat_fd_residual(bound, Z, centre, n, n, eps=2e-3)
+    r_fine = heat_fd_residual(bound, Z, centre, n, n, eps=1e-3)
     if r_coarse == 0.0 and r_fine == 0.0:
         # a constant family (the rank-0 cone at k = n) is annihilated exactly
         scaling_ok = True
@@ -209,9 +211,11 @@ def suite_heat(inst: ProblemInstance) -> VerificationReport:
 
     if inst.g is not None:
         zeta = 1.0 if np.any(inst.g.C) else determine_zeta(inst.g, inst.omega)[0]
-        add_fd("fd_transformed", ModularImage(fam, inst.g, zeta))
+        image = BoundModularImage(ModularImage(fam, inst.g, zeta), bound.omega, bound)
+        add_fd("fd_transformed", image, image.stack([Z])[0][0])
     if inst.characteristic is not None:
-        add_fd("fd_characteristic", ConeSum(cone.with_extra_shift(inst.characteristic.a), 1e-13))
+        shifted = ConeSum(cone.with_extra_shift(inst.characteristic.a), 1e-13).bind(inst.omega)
+        add_fd("fd_characteristic", shifted, shifted.stack([Z])[0][0])
     return rep
 
 

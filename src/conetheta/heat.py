@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ShapeMismatch
 from .linalg import check_symmetric
-from .theta import Family, theta_terms
+from .theta import Bound, theta_terms
 
 DEFAULT_EPS = 1e-4
 
@@ -52,27 +52,28 @@ def heat_term_residual(K, omega, i: int, j: int) -> float:
     return float(np.max(resid))
 
 
-def fd_omega_derivative(family: Family, omega, Z, i: int, j: int, eps: float) -> complex:
+def fd_omega_derivative(bound: Bound, Z, i: int, j: int, eps: float) -> complex:
     """Central difference approximation of the independent-entry derivative
     d/d omega_ij along symmetric perturbations; the i != j direction is
     halved to undo the doubled directional derivative.  The steps are
-    real, so they keep Im(omega), and with it its signature, bit for bit."""
-    omega = check_symmetric(omega)
-    n = omega.shape[0]
+    real, so they keep Im(omega), and with it its signature, bit for bit:
+    both are rebinds of the family bound to omega (Bound.rebind), which
+    share its forms, enumeration and radii."""
+    omega, n = bound.omega, bound.n
     ii, jj = _check_indices(n, i, j)
     E = np.zeros((n, n))
     E[ii, jj] = E[jj, ii] = 1.0  # one entry when i == j
     Z = np.asarray(Z, dtype=complex)
-    plus, _ = family.value_tail(omega + eps * E, Z)
-    minus, _ = family.value_tail(omega - eps * E, Z)
+    ((plus, _),) = bound.rebind(omega + eps * E).stack([Z])
+    ((minus, _),) = bound.rebind(omega - eps * E).stack([Z])
     scale = 2.0 if ii != jj else 1.0
     return (plus - minus) / (2.0 * eps * scale)
 
 
-def fd_zz_derivative(family: Family, omega, Z, i: int, j: int, eps: float) -> complex:
-    """Second-order central stencil for d^2/dZ_i dZ_j; its 3 or 4 points
-    are one stack of the family bound to omega."""
-    bound = family.bind(omega)
+def fd_zz_derivative(bound: Bound, Z, centre: complex, i: int, j: int, eps: float) -> complex:
+    """Second-order central stencil for d^2/dZ_i dZ_j of the bound family;
+    ``centre`` is its value at Z, which the caller evaluates once for every
+    diagonal stencil, and the 2 or 4 other points are one stack."""
     n = bound.n
     ii, jj = _check_indices(n, i, j)
     Z = np.asarray(Z, dtype=complex)
@@ -81,18 +82,19 @@ def fd_zz_derivative(family: Family, omega, Z, i: int, j: int, eps: float) -> co
     ei[ii] = 1.0
     ej[jj] = 1.0
     if ii == jj:
-        (f0, _), (fp, _), (fm, _) = bound.stack([Z, Z + eps * ei, Z - eps * ei])
-        return (fp - 2.0 * f0 + fm) / (eps * eps)
+        (fp, _), (fm, _) = bound.stack([Z + eps * ei, Z - eps * ei])
+        return (fp - 2.0 * centre + fm) / (eps * eps)
     (fpp, _), (fpm, _), (fmp, _), (fmm, _) = bound.stack(
         [Z + eps * ei + eps * ej, Z + eps * ei - eps * ej, Z - eps * ei + eps * ej, Z - eps * ei - eps * ej]
     )
     return (fpp - fpm - fmp + fmm) / (4.0 * eps * eps)
 
 
-def heat_fd_residual(family: Family, omega, Z, i: int, j: int, eps: float = DEFAULT_EPS) -> float:
-    """|H F| with both derivatives approximated by central differences; the
-    inner family tolerance should sit well below eps**2 so truncation error
-    dominates rounding."""
-    d_omega = fd_omega_derivative(family, omega, Z, i, j, eps)
-    d_zz = fd_zz_derivative(family, omega, Z, i, j, eps)
+def heat_fd_residual(bound: Bound, Z, centre: complex, i: int, j: int, eps: float = DEFAULT_EPS) -> float:
+    """|H F| for the bound family at Z (``centre``, its value there, as for
+    fd_zz_derivative), with both derivatives approximated by central
+    differences; the inner family tolerance should sit well below eps**2
+    so truncation error dominates rounding."""
+    d_omega = fd_omega_derivative(bound, Z, i, j, eps)
+    d_zz = fd_zz_derivative(bound, Z, centre, i, j, eps)
     return abs(d_omega - d_zz / (4j * math.pi))

@@ -369,6 +369,13 @@ class ConeForm:
     the same.  Raises NonPositiveRestriction when Q is not positive definite
     on the span, and ValidationError when q_min or t_s is not finite (a
     shift too large for the form).
+
+    The form also keeps, for as long as it lives, what the sums over it
+    compute from Q alone: its largest enumeration so far with the norms
+    (``points`` serves every smaller radius from it), and ``radii``, the
+    truncation radii theta's cone sums solve, keyed by Im Z and their
+    tolerances (a radius depends on nothing else; theta caps how many are
+    kept).
     """
 
     def __init__(self, cone: ConeSpec, Q):
@@ -376,6 +383,7 @@ class ConeForm:
         if Q.shape[0] != cone.n:
             raise ShapeMismatch("form and cone dimensions differ")
         self.Q = Q
+        self.radius, self.kept, self.radii = -math.inf, None, {}
         self.rank = m = cone.rank
         self.G = G = cone.generators.astype(float)
         A = None
@@ -415,6 +423,24 @@ class ConeForm:
             self.q_min = float(sQs + b @ self.c_star)
         self.t_s = math.sqrt(max(sQs, 0.0)) if np.any(s) else 0.0
 
+    def points(self, radius: float) -> tuple[np.ndarray, np.ndarray]:
+        """(points, norms) of enumerate_cone at this radius, for a cone of
+        rank >= 1.  The points of the largest enumeration come sorted by
+        norm, so those of a smaller radius r are its prefix with
+        tK Q K <= r**2: the same floats in the same order as an enumeration
+        at r.  A larger radius drops the kept enumeration and then
+        enumerates once."""
+        r2 = radius**2
+        if r2 < self.q_min - 1e-12:  # enumerate_cone's empty case
+            return np.empty((0, len(self.shift))), np.empty(0)
+        if radius > self.radius:
+            self.radius, self.kept = -math.inf, None  # freed before the larger one is built
+            self.radius, self.kept = radius, _enumerate(self, radius)
+            return self.kept
+        K, norms = self.kept
+        count = int(np.searchsorted(norms, r2, side="right"))
+        return K[:count], norms[:count]
+
 
 #: relative widening of the enumeration budget, so that rounding in the
 #: Cholesky recursion never drops a point the final norm test keeps
@@ -434,12 +460,18 @@ def enumerate_cone(form: ConeForm, radius: float) -> np.ndarray:
     from K (form_values) and compared with radius**2, so the kept set does
     not depend on the recursion's rounding.
     """
+    if form.rank == 0:
+        return form.shift[None, :]
+    return _enumerate(form, radius)[0]
+
+
+def _enumerate(form: ConeForm, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """enumerate_cone for a cone of rank >= 1, with the norms tK Q K of its
+    points (form_values, in the same order)."""
     s, m, n = form.shift, form.rank, len(form.shift)
-    if m == 0:
-        return s[None, :]
     r2 = radius**2
     if r2 < form.q_min - 1e-12:
-        return np.empty((0, n))
+        return np.empty((0, n)), np.empty(0)
     R, c_star = form.R, form.c_star
     budget = max(r2 - form.q_min, 0.0) + _BUDGET_SLACK * max(1.0, r2)
     coeffs = np.zeros((1, m))  # partial vectors; columns i+1.. are fixed
@@ -459,7 +491,8 @@ def enumerate_cone(form: ConeForm, radius: float) -> np.ndarray:
     norm = form_values(K, form.Q)
     keep = norm <= r2
     K, norm = K[keep], norm[keep]
-    return K[np.lexsort(tuple(K[:, j] for j in range(n - 1, -1, -1)) + (norm,))]
+    order = np.lexsort(tuple(K[:, j] for j in range(n - 1, -1, -1)) + (norm,))
+    return K[order], norm[order]
 
 
 def wedge_cones(basis: SplitBasis) -> tuple[ConeSpec, ConeSpec]:

@@ -83,16 +83,21 @@ class ModularImage(Family):
 class BoundModularImage(Bound):
     """A ModularImage over one period matrix: omega^g, T = t(C omega^g + D),
     zeta det(T)^{1/2} and the inner family bound to omega^g, computed once.
-    The rest depends on Z and stays per row."""
+    The rest depends on Z and stays per row.  Given a bound of the inner
+    family, the inner family is rebound from it (Bound.rebind), so it keeps
+    its forms where Im(omega^g) has not moved."""
 
-    def __init__(self, family: ModularImage, omega: np.ndarray):
+    def __init__(self, family: ModularImage, omega: np.ndarray, inner: Bound | None = None):
         self.family, self.omega = family, omega
         g = family.g
         og = omega_transform(g, omega)
         self.C = g.C.astype(complex)
         self.T = (self.C @ og + g.D.astype(complex)).T
         self.pref = family.zeta * principal_sqrt_det(self.T.T)
-        self.inner = family.inner.bind(og)
+        self.inner = family.inner.bind(og) if inner is None else inner.rebind(og)
+
+    def rebind(self, omega2) -> "BoundModularImage":
+        return BoundModularImage(self.family, check_symmetric(omega2), self.inner)
 
     def stack(self, Zs):
         Zs = as_stack(Zs, self.n)
@@ -108,7 +113,8 @@ def modular_apply(g: ModularElement, f: Evaluator, zeta: complex) -> Evaluator:
     """Evaluator of f^g over the period matrix of f."""
     if abs(abs(zeta) - 1.0) > 1e-9:
         raise ValidationError("zeta must be a unit complex number")
-    return Evaluator(ModularImage(f.family, g, zeta), f.omega)
+    family = ModularImage(f.family, g, zeta)
+    return Evaluator(family, f.omega, BoundModularImage(family, f.omega, f.bound))
 
 
 # ---------------------------------------------------------------------------

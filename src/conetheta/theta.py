@@ -8,6 +8,12 @@ approximate).  Identical inputs always produce bit-identical outputs:
 all terms of a sum are evaluated in one vectorised pass and their real and
 imaginary parts are added with math.fsum, which is correctly rounded and so
 does not depend on the order of the terms.
+
+What depends only on Q = Im(omega) is done once per cone and form
+(lattice.ConeForm): the factorisation, the largest enumeration so far with
+its norms, and one radius per Im Z.  A family bound to omega keeps its form
+while it lives, and rebinding it to a period matrix with the same Im(omega)
+shares that form.  Caches live on these objects only, never in a module.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from .lattice import (
     ConeForm,
     ConeSpec,
     SplitBasis,
-    enumerate_cone,
+    enumerate_cone,  # not called here (the sums enumerate through ConeForm.points); kept as theta.enumerate_cone
     enumerate_wedge,
     form_values,
     wedge_cones,
@@ -38,6 +44,10 @@ from .rng import DEFAULT_SEED, SplitMix64
 DEFAULT_TOL = 1e-10
 
 _MAX_RADIUS = 64.0
+
+#: most truncation radii a ConeForm keeps (BoundConeSum._radius), so that a
+#: long-lived evaluator scanned over many Im Z holds a bounded memo
+_RADII_KEPT = 1024
 
 
 def complex_fsum(values) -> complex:
@@ -68,7 +78,8 @@ def _terms(K: np.ndarray, quad: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """theta_terms given the part that does not depend on Z, quad =
     form_values(K, omega); form_values rounds each row on its own, so a
     prefix of quad is quad of the prefix."""
-    return np.exp(1j * math.pi * (quad + 2.0 * (K @ Z)))
+    with np.errstate(over="ignore", invalid="ignore"):  # complex_fsum rejects what overflows
+        return np.exp(1j * math.pi * (quad + 2.0 * (K @ Z)))
 
 
 def theta_term(K, Z, omega) -> complex:
@@ -278,8 +289,16 @@ class Bound:
     stack evaluates a (p, n) stack of Z and returns one (value, tail) per
     row.  Each row is evaluated as it would be alone: everything that
     depends on Z is computed per row, in the same order, so a row's value
-    and tail do not depend on the other rows.  Nothing is kept between
-    calls."""
+    and tail do not depend on the other rows.
+
+    A bound keeps, for as long as it lives, what its stacks computed from
+    omega alone: a cone sum's form (lattice.ConeForm) keeps its largest
+    enumeration with the norms and the radius solved for each Im Z (up to
+    _RADII_KEPT of them), and the bound keeps tK omega K over that
+    enumeration.  Later stacks read them back bit for bit, so a value never
+    depends on what was evaluated before.  rebind(omega2) is bind(omega2)
+    that shares the forms when Im(omega2) equals Im(omega) bit for bit (a
+    cone sum and the families over one); other families bind anew."""
 
     family: Family
     omega: np.ndarray
@@ -290,6 +309,9 @@ class Bound:
 
     def stack(self, Zs) -> list[tuple[complex, float]]:
         raise NotImplementedError
+
+    def rebind(self, omega2) -> "Bound":
+        return self.family.bind(omega2)
 
 
 @dataclass(frozen=True)
@@ -342,59 +364,68 @@ class ConeSum(Family):
 
 
 class BoundConeSum(Bound):
-    """A ConeSum over one period matrix: the cone's ConeForm (none for a
-    rank-0 cone, whose sum is the term of its shift)."""
+    """A ConeSum over one period matrix: the cone's ConeForm, given or
+    factored (none for a rank-0 cone, whose sum is the term of its shift),
+    and ``quad``, tK omega K over a prefix of the form's kept points."""
 
-    def __init__(self, family: ConeSum, omega: np.ndarray):
-        self.family, self.omega = family, omega
+    def __init__(self, family: ConeSum, omega: np.ndarray, form: ConeForm | None = None):
+        self.family, self.omega, self.quad = family, omega, np.empty(0, dtype=complex)
         cone = family.cone
-        if cone.rank:
-            self.form = ConeForm(cone, omega.imag)
-        else:
+        if not cone.rank:
             self.form, self.shift = None, cone.shift_float()
+        else:
+            self.form = ConeForm(cone, omega.imag) if form is None else form
+
+    def rebind(self, omega2) -> "BoundConeSum":
+        omega2 = check_symmetric(omega2)
+        same_q = self.form is not None and omega2.imag.tobytes() == self.omega.imag.tobytes()
+        return BoundConeSum(self.family, omega2, self.form if same_q else None)
 
     def points(self, radius: float) -> np.ndarray:
         """The points the sum at this radius runs over (enumerate_cone; the
         shift alone for a rank-0 cone)."""
         if self.form is None:
             return self.shift[None, :]
-        return enumerate_cone(self.form, radius)
+        return self.form.points(radius)[0]
+
+    def _radius(self, Z) -> tuple[float, float]:
+        """_solve_radius for Z, solved once per Im Z and tolerances on the
+        form (it reads nothing else of Z).  The memo holds at most
+        _RADII_KEPT entries: a full one is emptied before the next solve."""
+        fam = self.family
+        key, radii = (Z.imag.tobytes(), fam.tol, fam.max_radius), self.form.radii
+        if key not in radii:
+            if len(radii) >= _RADII_KEPT:
+                radii.clear()
+            radii[key] = _solve_radius([self.form], Z, fam.tol, fam.max_radius, False)
+        return radii[key]
 
     def evaluate(self, Zs) -> list[tuple[complex, float, float]]:
         """(value, tail bound, radius) for every row of a stack of Z.
 
-        Each row solves its own radius.  One enumerate_cone at the largest
-        serves every row: it sorts the points by norm, and its points up to
-        a smaller radius r are the prefix with tK Q K <= r**2 (the same
-        floats, in the same order), which is what that row sums.  The part
-        of the terms that does not depend on Z, tK omega K, is computed once
-        for the stack."""
+        Each row solves its own radius and sums the form's points up to it
+        (ConeForm.points: a prefix of one enumeration at the largest radius
+        so far).  The part of the terms that does not depend on Z,
+        tK omega K, is computed once for these points and kept: its real
+        part is form_values(K, Re omega) and its imaginary part is the
+        form's norm, the same floats as form_values(K, omega) gives.  It is
+        rounded point by point, so a row's prefix of it is what that row
+        alone would compute."""
         Zs = as_stack(Zs, self.n)
         if self.form is None:
             return [(theta_term(self.shift, Z, self.omega), 0.0, 0.0) for Z in Zs]
-        fam = self.family
-        rows = [(Z, *_solve_radius([self.form], Z, fam.tol, fam.max_radius, False)) for Z in Zs]
+        rows = [(Z, *self._radius(Z)) for Z in Zs]
         top = max(radius for _, radius, _ in rows)
-        pts = enumerate_cone(self.form, top)
-        quad = form_values(pts, self.omega)
-        norms = None
+        pts, norms = self.form.points(top)
+        if len(self.quad) < len(pts):
+            self.quad = None  # freed before the larger one is built
+            self.quad = np.empty(len(pts), dtype=complex)
+            self.quad.real, self.quad.imag = form_values(pts, self.omega.real), norms
         out = []
         for Z, radius, bound in rows:
-            count = len(pts)
-            if radius < top:
-                if norms is None:
-                    norms = form_values(pts, self.form.Q)
-                count = self._prefix(norms, radius)
-            out.append((complex_fsum(_terms(pts[:count], quad[:count], Z)), bound, radius))
+            K = pts if radius == top else self.form.points(radius)[0]
+            out.append((complex_fsum(_terms(K, self.quad[: len(K)], Z)), bound, radius))
         return out
-
-    def _prefix(self, norms: np.ndarray, radius: float) -> int:
-        """How many of the sorted norms enumerate_cone keeps at radius
-        (none below its q_min cut-off)."""
-        r2 = radius**2
-        if r2 < self.form.q_min - 1e-12:
-            return 0
-        return int(np.searchsorted(norms, r2, side="right"))
 
     def stack(self, Zs):
         return [(value, tail) for value, tail, _ in self.evaluate(Zs)]
@@ -456,7 +487,9 @@ class BoundWedgeSum(Bound):
                 K = enumerate_wedge(basis, self.forms, radius)
                 signed[radius] = K, np.sign(K @ basis.M[:, basis.k]), form_values(K, self.omega)
             K, sign, quad = signed[radius]
-            out.append((complex_fsum(sign * _terms(K, quad, Z)), bound))
+            with np.errstate(over="ignore", invalid="ignore"):  # inf * sign; complex_fsum rejects it
+                terms = sign * _terms(K, quad, Z)
+            out.append((complex_fsum(terms), bound))
         return out
 
 
@@ -493,6 +526,9 @@ class BoundLambdaShifted(Bound):
             raise ShapeMismatch("lattice pair and period matrix sizes differ")
         self.tNoN = self.N @ self.omega @ self.N
         self.oN = self.omega @ self.N
+
+    def rebind(self, omega2) -> "BoundLambdaShifted":
+        return BoundLambdaShifted(self.family, self.inner.rebind(omega2))
 
     def stack(self, Zs):
         Zs = as_stack(Zs, self.n)

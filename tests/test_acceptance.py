@@ -107,7 +107,8 @@ def test_criterion_03_heat_suite():
     g = ModularElement(np.array([[0]]), np.array([[-1]]), np.array([[1]]), np.array([[0]]))
     point = ConeSpec(np.zeros((1, 0), dtype=np.int64), (0,))
     fam = ModularImage(ConeSum(point, 1e-13), g, 1.0)
-    r_inv = heat_fd_residual(fam, np.array([[-1j]]), np.array([0.2 + 0.1j]), 1, 1, eps=1e-4)
+    bound, Z = fam.bind(np.array([[-1j]])), np.array([0.2 + 0.1j])
+    r_inv = heat_fd_residual(bound, Z, bound.stack([Z])[0][0], 1, 1, eps=1e-4)
     ok = ok and r_inv < 1e-6
     _report(3, "heat-termwise+fd", ok)
 

@@ -4,12 +4,22 @@ import math
 import numpy as np
 import pytest
 
+from conetheta import lattice, theta
+from conetheta.cli import suite_heat
 from conetheta.heat import fd_omega_derivative, heat_fd_residual, heat_term_residual
 from conetheta.lattice import ConeSpec, ModularElement
 from conetheta.modular import ModularImage
+from conetheta.serialize import parse_instance
 from conetheta.theta import Characteristic, ConeSum
 
 OM1 = np.array([[1j]])
+
+
+def _fd_residual(family, omega, Z, i, j, eps):
+    """heat_fd_residual of the family bound to omega, at Z."""
+    bound = family.bind(omega)
+    ((centre, _),) = bound.stack([Z])
+    return heat_fd_residual(bound, Z, centre, i, j, eps)
 
 
 def test_termwise_zero_vector():
@@ -57,14 +67,14 @@ def test_termwise_overflow_fails_every_tolerance():
 
 def test_fd_classical():
     fam = ConeSum(ConeSpec.full_lattice(1), 1e-13)
-    r = heat_fd_residual(fam, OM1, np.array([0.2 + 0j]), 1, 1, eps=1e-4)
+    r = _fd_residual(fam, OM1, np.array([0.2 + 0j]), 1, 1, eps=1e-4)
     assert r < 1e-6
 
 
 def test_fd_indefinite_diagonal():
     om = np.diag([-1j, 1j])
     fam = ConeSum(ConeSpec(np.array([[0], [1]]), (0, 0)), 1e-13)
-    r = heat_fd_residual(fam, om, np.array([0.1 + 0j, 0.2 + 0j]), 2, 2, eps=1e-4)
+    r = _fd_residual(fam, om, np.array([0.1 + 0j, 0.2 + 0j]), 2, 2, eps=1e-4)
     assert r < 1e-6
 
 
@@ -73,15 +83,17 @@ def test_fd_off_diagonal_scale_convention():
     om = np.array([[1j, 0.3], [0.3, 1.5j]])
     fam = ConeSum(ConeSpec.full_lattice(2), 1e-13)
     Z = np.array([0.1 + 0.05j, 0.2 - 0.1j])
-    assert heat_fd_residual(fam, om, Z, 1, 2, eps=1e-4) < 1e-6
+    assert _fd_residual(fam, om, Z, 1, 2, eps=1e-4) < 1e-6
     # the doubled symmetric step must be halved exactly once; an unscaled
     # derivative would be twice the analytic one and fail the residual
-    d_scaled = fd_omega_derivative(fam, om, Z, 1, 2, 1e-4)
+    bound = fam.bind(om)
+    ((centre, _),) = bound.stack([Z])
+    d_scaled = fd_omega_derivative(bound, Z, 1, 2, 1e-4)
     d_raw = d_scaled * 2
     from conetheta.heat import fd_zz_derivative
     import math
 
-    analytic = fd_zz_derivative(fam, om, Z, 1, 2, 1e-4) / (4j * math.pi)
+    analytic = fd_zz_derivative(bound, Z, centre, 1, 2, 1e-4) / (4j * math.pi)
     assert abs(d_scaled - analytic) < 1e-6
     assert abs(d_raw - analytic) > 1e-3
 
@@ -89,8 +101,8 @@ def test_fd_off_diagonal_scale_convention():
 def test_fd_second_order_scaling():
     fam = ConeSum(ConeSpec.full_lattice(1), 1e-13)
     Z = np.array([0.2 + 0j])
-    coarse = heat_fd_residual(fam, OM1, Z, 1, 1, eps=2e-3)
-    fine = heat_fd_residual(fam, OM1, Z, 1, 1, eps=1e-3)
+    coarse = _fd_residual(fam, OM1, Z, 1, 1, eps=2e-3)
+    fine = _fd_residual(fam, OM1, Z, 1, 1, eps=1e-3)
     assert 2.5 <= coarse / fine <= 6.0
 
 
@@ -101,14 +113,14 @@ def test_fd_transformed_case2():
     fam = ModularImage(ConeSum(ConeSpec(np.array([[0], [1]]), (0, 0)), 1e-13), g, 1.0)
     Z = np.array([0.2 + 0.05j, 0.1 + 0j])
     for i, j in [(1, 1), (1, 2), (2, 2)]:
-        assert heat_fd_residual(fam, om, Z, i, j, eps=1e-4) < 1e-6
+        assert _fd_residual(fam, om, Z, i, j, eps=1e-4) < 1e-6
 
 
 def test_fd_transformed_inversion_1d():
     g = ModularElement(np.array([[0]]), np.array([[-1]]), np.array([[1]]), np.array([[0]]))
     point = ConeSpec(np.zeros((1, 0), dtype=np.int64), (0,))
     fam = ModularImage(ConeSum(point, 1e-13), g, 1.0)
-    assert heat_fd_residual(fam, np.array([[-1j]]), np.array([0.2 + 0.1j]), 1, 1, eps=1e-4) < 1e-6
+    assert _fd_residual(fam, np.array([[-1j]]), np.array([0.2 + 0.1j]), 1, 1, eps=1e-4) < 1e-6
 
 
 def test_fd_characteristic():
@@ -116,7 +128,7 @@ def test_fd_characteristic():
 
     char = Characteristic((Fraction(1, 2),), (2,))
     fam = ConeSum(ConeSpec.full_lattice(1).with_extra_shift(char.a), 1e-13)
-    assert heat_fd_residual(fam, OM1, np.array([0.15 + 0j]), 1, 1, eps=1e-4) < 1e-6
+    assert _fd_residual(fam, OM1, np.array([0.15 + 0j]), 1, 1, eps=1e-4) < 1e-6
 
 
 def test_fd_perturbations_preserve_signature():
@@ -124,10 +136,76 @@ def test_fd_perturbations_preserve_signature():
     # even close to degeneracy
     fam = ConeSum(ConeSpec.full_lattice(1), 1e-10)
     thin = np.array([[0.1j]])
-    r = heat_fd_residual(fam, thin, np.array([0.05 + 0j]), 1, 1, eps=1e-4)
+    r = _fd_residual(fam, thin, np.array([0.05 + 0j]), 1, 1, eps=1e-4)
     assert np.isfinite(r)
 
 
 def test_index_validation():
     with pytest.raises(Exception):
         heat_term_residual(np.array([1.0, 1.0]), np.diag([1j, 1j]), 2, 1)
+
+
+def _c(z):
+    return {"re": z.real, "im": z.imag}
+
+
+#: the verify-all instances of the benchmark at n = 2 (the README instance)
+#: and n = 3, each with an upper-triangular element and a characteristic
+_HEAT_INSTANCES = {
+    2: {
+        "n": 2,
+        "k": 1,
+        "seed": 5,
+        "omega": [[_c(-1j), _c(0j)], [_c(0j), _c(2j)]],
+        "basis": {"n": 2, "k": 1, "N": [[1, 0], [0, 1]], "M": [[1, 0], [0, 1]]},
+        "g": {"A": [[1, 0], [0, 1]], "B": [[2, 1], [1, 0]], "C": [[0, 0], [0, 0]], "D": [[1, 0], [0, 1]]},
+        "characteristic": {"a": ["0", "1/2"], "delta": [1, 2]},
+        "cone": {"generators": [[0, 1]], "shift": ["0", "0"]},
+    },
+    3: {
+        "n": 3,
+        "k": 1,
+        "seed": 5,
+        "omega": [
+            [_c(0.1 - 1j), _c(0.05 + 0j), _c(0j)],
+            [_c(0.05 + 0j), _c(-0.2 + 1.5j), _c(0.1 + 0.2j)],
+            [_c(0j), _c(0.1 + 0.2j), _c(2j)],
+        ],
+        "g": {"A": np.eye(3, dtype=int).tolist(), "B": [[2, 1, 0], [1, 0, 1], [0, 1, 2]],
+              "C": np.zeros((3, 3), dtype=int).tolist(), "D": np.eye(3, dtype=int).tolist()},
+        "characteristic": {"a": ["0", "1/2", "1/2"], "delta": [1, 2, 2]},
+    },
+}
+
+
+def test_heat_suite_work_is_per_family(monkeypatch):
+    # every fd step moves Re(omega) or Re Z only, so the suite builds one
+    # form per cone sum and solves one radius per Im Z, whatever the number
+    # of index pairs (3 at n = 2, 6 at n = 3).  Three forms: the fd family,
+    # which the transformed family shares (Im(omega^g) = Im(omega) for
+    # A = D = I, C = 0, and T = I keeps Z), determine_zeta's sum at its own
+    # tolerance, whose image shares its form, and the characteristic
+    # family.  Seven radii: Z for the fd and the characteristic family, and
+    # determine_zeta's five samples
+    counts = {}
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(lattice.ConeForm, "__init__")
+    counted(theta, "_solve_radius")
+    work = {}
+    for n, payload in _HEAT_INSTANCES.items():
+        counts.clear()
+        report = suite_heat(parse_instance(payload))
+        assert report.passed
+        pairs = n * (n + 1) // 2
+        assert sum(c.name.startswith("fd_") for c in report.checks) == 3 * pairs + 1  # and the scaling
+        work[n] = dict(counts)
+    assert work[2] == work[3] == {"__init__": 3, "_solve_radius": 7}

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import tracemalloc
+import warnings
 from collections import defaultdict
 from fractions import Fraction
 
@@ -497,6 +498,21 @@ def test_enumerate_cone_prefix_property():
     assert len(small) < len(large)
     for a, b in zip(small, large):
         assert np.array_equal(a, b)
+    # the form's kept enumeration serves every smaller grid radius as a
+    # prefix, in the same order and bits as enumerate_cone there; on the
+    # shifted rank-1 cone (q_min = 7/16) the radii below sqrt(q_min) give
+    # enumerate_cone's empty set and are kept by neither
+    shifted = ConeForm(ConeSpec(np.array([[0], [1]]), (Fraction(1, 2), 0)), Q)
+    assert shifted.q_min == 0.4375
+    for form in (form, shifted):
+        top, _ = form.points(4.0)
+        for r in np.arange(0.0, 4.0, 0.125):
+            K, norms = form.points(r)
+            fresh = enumerate_cone(form, r)
+            assert K.shape == fresh.shape and K.tobytes() == fresh.tobytes() == top[: len(K)].tobytes()
+            assert norms.tobytes() == form_values(fresh, Q).tobytes()
+        assert form.radius == 4.0
+    assert len(shifted.points(0.625)[0]) == 0 < len(shifted.points(0.75)[0])
 
 
 def _box_filter_cone(cone, Q, radius):
@@ -739,16 +755,23 @@ def _far_wedge_instance():
     }
 
 
-def test_wedge_sum_beyond_double_range(tmp_path):
+def test_wedge_sum_beyond_double_range(tmp_path, capsys):
     # Q has an eigenvalue of -2e-4, and the terms of the k = 1 wedge sum
-    # overflow: a documented error, exit 2 from the CLI, never a traceback
+    # overflow: a documented error, exit 2 from the CLI, never a traceback,
+    # and no numpy warning on the way: stderr holds the error line only
     omega, payload = _far_wedge_instance()
     basis = SplitBasis(_FAR_N, unimodular_inverse(_FAR_N).T, 1)
     with pytest.raises(ValidationError):
         WedgeSum(basis, 1e-2).value_tail(omega, sample_points(4, 1, 0)[0])
     inst = tmp_path / "far.json"
     inst.write_text(json.dumps(payload))
-    assert main(["verify", "--instance", str(inst), "--suite", "wedge"]) == 2
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["verify", "--instance", str(inst), "--suite", "wedge"]) == 2
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_enumerate_wedge_signs():

@@ -171,23 +171,28 @@ def test_cone_sum_factors_the_cone_once(monkeypatch):
     theta_char(Characteristic((0, Fraction(1, 2), 0), (1, 2, 2)), Z, omega, cone)
     assert dict(counts) == {"eigvalsh": 1, "cholesky": 1}
 
-    # a whole verify_cocycle binds the cone once: one factorisation, and one
-    # enumerate_cone per stack (the base values and one per direction)
-    counted(theta, "enumerate_cone")
+    # a whole verify_cocycle binds the cone once: one factorisation, and an
+    # enumeration only for a stack whose largest radius is larger than any
+    # before.  That is the base values (radius 3.625) and N_2 (6.625);
+    # N_3 needs less, and the M_i directions move Re Z only, so they reuse
+    # the base radii.  The other stacks are served from the kept points.
+    counted(lattice, "_enumerate")  # what ConeForm.points calls
     counts.clear()
     basis = SplitBasis.identity(3, 1)
     residuals = verify_cocycle(Evaluator(ConeSum(cone), omega), basis.columns_2n(), basis.k)
     assert len(residuals) == 5
-    assert dict(counts) == {"eigvalsh": 1, "cholesky": 1, "enumerate_cone": 1 + len(residuals)}
+    assert dict(counts) == {"eigvalsh": 1, "cholesky": 1, "_enumerate": 2}
 
-    # the image under an upper-triangular element transforms omega once
+    # the image under an upper-triangular element with A = D = I transforms
+    # omega once, and Im(omega^g) = Im(omega) bit for bit, so its inner sum
+    # shares a fresh evaluator's form: nothing is factored again, and its
+    # rows (T = I) enumerate as often as the plain evaluator's
     counted(modular, "omega_transform")
     counts.clear()
     g = ModularElement(np.eye(3), np.array([[2, 1, 0], [1, 0, 1], [0, 1, 2]]), np.zeros((3, 3)), np.eye(3))
     cg = modular_apply(g, Evaluator(ConeSum(cone), omega), 1.0)
     residuals = verify_cocycle(cg, lattice.transform_basis(g, basis)[0], basis.k)
-    assert counts["omega_transform"] == 1
-    assert counts["enumerate_cone"] == 1 + len(residuals)
+    assert dict(counts) == {"eigvalsh": 1, "cholesky": 1, "omega_transform": 1, "_enumerate": 2}
 
 
 def test_tail_is_true_bound():
@@ -600,6 +605,87 @@ def test_stack_matches_single_rows(case, data):
         U.T, zero, zero, intmat.unimodular_inverse(U)
     )
     _same_rows(ModularImage(fam, g, 1j), omega, Zs)
+
+
+def _inner_form(bound):
+    """The ConeForm under a bound family (through lambda shifts and modular
+    images)."""
+    while not hasattr(bound, "form"):
+        bound = bound.inner
+    return bound.form
+
+
+def _rebind_matches_bind(family, omega, omega2, Zs):
+    """bound.rebind(omega2) evaluates a stack as family.bind(omega2) does,
+    after the bound at omega has filled its caches with a stack of its own.
+    Returns whether the rebind shares the bound's form."""
+    bound = family.bind(omega)
+    bound.stack(Zs[::-1])
+    got = bound.rebind(omega2).stack(Zs)
+    assert got == family.bind(omega2).stack(Zs)
+    assert bound.rebind(omega2).stack(Zs) == got  # a second rebind, on warm caches
+    return _inner_form(bound.rebind(omega2)) is _inner_form(bound)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_radius_cases(), st.data())
+def test_rebind_matches_a_fresh_bind(case, data):
+    # the real steps of the heat suite's finite differences: Im(omega) does
+    # not move, so the form (its enumeration and radii) is shared, and every
+    # value and tail is what a fresh bind gives, bit for bit
+    cone, omega, _, tol = case
+    n = cone.n
+    Zs = data.draw(_z_stacks(n))
+    i, j = sorted(data.draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+    E = np.zeros((n, n))
+    E[i, j] = E[j, i] = data.draw(st.sampled_from([1e-4, -1e-4, 2e-3, -1e-3]))
+    omega2 = omega + E
+    fam = ConeSum(cone, max(tol, 1e-12))
+    assert _rebind_matches_bind(fam, omega, omega2, Zs)
+    pair = st.lists(st.integers(-1, 1), min_size=n, max_size=n)
+    shifted = LambdaShifted(fam, tuple(data.draw(pair)), tuple(data.draw(pair)))
+    assert _rebind_matches_bind(shifted, omega, omega2, Zs)
+    # A = D = I, C = 0: omega^g = omega - B, so Im(omega^g) stays Im(omega)
+    # bit for bit, and the form is shared
+    S = np.array(data.draw(st.lists(st.integers(-2, 2), min_size=n * n, max_size=n * n))).reshape(n, n)
+    zero = np.zeros((n, n), dtype=np.int64)
+    translation = ModularElement(np.eye(n), S + S.T, zero, np.eye(n))
+    assert _rebind_matches_bind(ModularImage(fam, translation, 1j), omega, omega2, Zs)
+    # a GL_n block with A != I: the form is shared exactly when
+    # Im(omega^g) has kept its bits, and is bound anew otherwise
+    U = np.eye(n, dtype=np.int64)
+    for a, b, c in data.draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * 2, st.integers(-1, 1)), max_size=3)):
+        if a != b:
+            U[a] += c * U[b]
+    g = ModularElement(U.T, zero, zero, intmat.unimodular_inverse(U))
+    im_g = [modular.omega_transform(g, om).imag.tobytes() for om in (omega, omega2)]
+    same_bits = im_g[0] == im_g[1]
+    assert _rebind_matches_bind(ModularImage(fam, g, 1.0), omega, omega2, Zs) == same_bits
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.floats(-0.5, 0.5), st.floats(0.7, 1.5), st.sampled_from([1e-4, -2e-3]), _z_stacks(1))
+def test_rebind_binds_anew_when_im_omega_moves(re, im, eps, Zs):
+    # with C != 0, Im(omega^g) depends on Re(omega): the inversion sends
+    # omega to -1/omega, whose imaginary part moves with a real step
+    inversion = ModularElement([[0]], [[-1]], [[1]], [[0]])
+    family = ModularImage(ConeSum(FULL1, 1e-12), inversion, 1.0)
+    omega = np.array([[complex(re, im)]])
+    assert not _rebind_matches_bind(family, omega, omega + eps, Zs)
+
+
+def test_radius_memo_is_bounded(monkeypatch):
+    # a bound scanned over many Im Z keeps at most _RADII_KEPT radii on its
+    # form, and a radius solved again after the memo was emptied is the same
+    monkeypatch.setattr(theta, "_RADII_KEPT", 3)
+    bound = ConeSum(FULL1, 1e-12).bind(np.array([[1j]]))
+    Zs = [np.array([complex(0.1, y)]) for y in (0.0, 0.05, 0.1, 0.15, 0.2, 0.0)]
+    rows = []
+    for Z in Zs:
+        rows += bound.evaluate([Z])
+        assert 1 <= len(bound.form.radii) <= 3
+    assert rows[-1] == rows[0]
+    assert rows == ConeSum(FULL1, 1e-12).bind(np.array([[1j]])).evaluate(Zs)
 
 
 #: forms split by the identity basis at k = 1: Q(N_1) < 0, and Q is
