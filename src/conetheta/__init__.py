@@ -4,8 +4,8 @@ sums on polarized complex tori with indefinite imaginary part.
 Submodules:
   linalg   -- signatures, inverses, principal determinant square roots
   lattice  -- split bases, the theta subgroup, cone and wedge enumeration
-  theta    -- theta terms, cone sums, characteristics, the evaluator algebra
-  modular  -- group action on period matrices and evaluators, contour coboundary
+  theta    -- theta terms, cone sums, characteristics, families and their bounds
+  modular  -- group action on period matrices and bound families, contour coboundary
   heat     -- heat-operator annihilation checks
   koszul   -- exact group-ring algebra and resolution chain maps
   reduced  -- finite model of the coefficient complex with exact ranks
@@ -14,7 +14,7 @@ Submodules:
 
 from .errors import ConethetaError
 from .lattice import ConeSpec, ModularElement, SplitBasis
-from .theta import Characteristic, Evaluator, ThetaValue, cone_sum, theta_term
+from .theta import Characteristic, ThetaValue, cone_sum, theta_term
 
 __version__ = "0.1.0"
 
@@ -22,7 +22,6 @@ __all__ = [
     "Characteristic",
     "ConeSpec",
     "ConethetaError",
-    "Evaluator",
     "ModularElement",
     "SplitBasis",
     "ThetaValue",

@@ -61,8 +61,6 @@ from .lattice import (
 )
 from .linalg import principal_sqrt_det, signature
 from .modular import (
-    BoundModularImage,
-    ModularImage,
     determine_zeta,
     modular_apply,
     omega_transform,
@@ -89,7 +87,6 @@ from .serialize import (
 )
 from .theta import (
     ConeSum,
-    Evaluator,
     ThetaValue,
     lambda_action,
     reduced_characteristics,
@@ -166,10 +163,10 @@ def suite_cocycle(inst: ProblemInstance) -> VerificationReport:
     rep = VerificationReport("cocycle")
     tol = inst.tol("identity", TOL_IDENTITY)
     basis, cone = _positive_cone(inst)
-    c = Evaluator(ConeSum(cone, inst.tol("sum", TOL_SUM) * 1e-2), inst.omega)
+    c = ConeSum(cone, inst.tol("sum", TOL_SUM) * 1e-2).bind(inst.omega)
     _add_cocycle(rep, "c", verify_cocycle(c, basis.columns_2n(), basis.k, seed=inst.seed), tol)
     if inst.g is not None and not np.any(inst.g.C):
-        zeta, _ = determine_zeta(inst.g, inst.omega)
+        zeta, _ = determine_zeta(inst.g, c)
         cg = modular_apply(inst.g, c, zeta)
         cols, _ = transform_basis(inst.g, basis)
         _add_cocycle(rep, "c^g", verify_cocycle(cg, cols, inst.k, seed=inst.seed), tol)
@@ -210,12 +207,12 @@ def suite_heat(inst: ProblemInstance) -> VerificationReport:
     rep.add_exact("fd_scaling_factor_in_[2.5,6]", scaling_ok)
 
     if inst.g is not None:
-        zeta = 1.0 if np.any(inst.g.C) else determine_zeta(inst.g, inst.omega)[0]
-        image = BoundModularImage(ModularImage(fam, inst.g, zeta), bound.omega, bound)
-        add_fd("fd_transformed", image, image.stack([Z])[0][0])
+        zeta = 1.0 if np.any(inst.g.C) else determine_zeta(inst.g, bound)[0]
+        image = modular_apply(inst.g, bound, zeta)
+        add_fd("fd_transformed", image, image(Z).value)
     if inst.characteristic is not None:
         shifted = ConeSum(cone.with_extra_shift(inst.characteristic.a), 1e-13).bind(inst.omega)
-        add_fd("fd_characteristic", shifted, shifted.stack([Z])[0][0])
+        add_fd("fd_characteristic", shifted, shifted(Z).value)
     return rep
 
 
@@ -272,11 +269,11 @@ def suite_modular_case2(inst: ProblemInstance) -> VerificationReport:
         float(np.max(np.abs(og - (inst.omega - g.B.astype(complex))))),
         1e-12,
     )
-    zeta, fit_resid = determine_zeta(g, inst.omega)
+    basis, cone = _positive_cone(inst)
+    c = ConeSum(cone, 1e-12).bind(inst.omega)
+    zeta, fit_resid = determine_zeta(g, c)
     rep.add_exact("zeta_is_unit", abs(abs(zeta) - 1) < 1e-9)
     rep.add("zeta_fit_residual", fit_resid, inst.tol("identity", TOL_IDENTITY))
-    basis, cone = _positive_cone(inst)
-    c = Evaluator(ConeSum(cone, 1e-12), inst.omega)
     cg = modular_apply(g, c, zeta)
     samples = sample_points(inst.n, 5, inst.seed)
     worst = 0.0
@@ -312,7 +309,7 @@ def suite_wedge(inst: ProblemInstance) -> VerificationReport:
     tol = inst.tol("identity", TOL_IDENTITY)
     basis, cone = _positive_cone(inst)
     f = wedge_function(basis, inst.omega, tol=1e-12)
-    e_plain, e_trans = (Evaluator(ConeSum(c, 1e-12), inst.omega) for c in wedge_cones(basis))
+    e_plain, e_trans = (ConeSum(c, 1e-12).bind(inst.omega) for c in wedge_cones(basis))
     shear = tuple(int(x) for x in basis.N[:, basis.k - 1])
     after = tuple(int(x) for x in basis.N[:, basis.k])
     samples = sample_points(inst.n, 5, inst.seed)
@@ -443,15 +440,16 @@ def suite_characteristics(inst: ProblemInstance) -> VerificationReport:
     rep.add_exact("classes_distinct", len({c.a for c in classes}) == want)
     basis, cone = _positive_cone(inst)
     shifted = cone.with_extra_shift(char.a)
-    c = Evaluator(ConeSum(shifted, 1e-12), inst.omega)
+    c = ConeSum(shifted, 1e-12).bind(inst.omega)
     res = verify_cocycle(c, basis.columns_2n(), basis.k, delta=char.delta, seed=inst.seed)
     _add_cocycle(rep, "twisted", res, tol)
-    # integral shift is absorbed by the cone
-    plain = Evaluator(ConeSum(cone, 1e-12), inst.omega)
-    intshift = Evaluator(
-        ConeSum(cone.with_extra_shift((1,) * inst.n).with_extra_shift((-1,) * inst.n), 1e-12),
-        inst.omega,
-    )
+    # a shift by a lattice vector of the cone is absorbed by it: the sum
+    # starts from the moved shift (ConeForm's exact move), over the same
+    # points.  A rank-0 cone (k = n) has no such vector, and the check
+    # compares the sum with itself
+    plain = ConeSum(cone, 1e-12).bind(inst.omega)
+    lattice_vector = [10**6 * sum(int(x) for x in row) for row in cone.generators]
+    intshift = ConeSum(cone.with_extra_shift(lattice_vector), 1e-12).bind(inst.omega)
     samples = sample_points(inst.n, 3, inst.seed)
     worst = 0.0
     for a, b in zip(plain.stack(samples), intshift.stack(samples)):
@@ -525,7 +523,10 @@ def cmd_transform(args) -> int:
     og = omega_transform(g, inst.omega)
     sqrt_det = principal_sqrt_det(g.C.astype(complex) @ og + g.D.astype(complex))
     try:
-        zeta, fit_resid = determine_zeta(g, inst.omega)
+        if g.is_identity():  # zeta = 1 needs no sum, and so no split basis
+            zeta, fit_resid = 1.0, 0.0
+        else:
+            zeta, fit_resid = determine_zeta(g, ConeSum(_positive_cone(inst)[1], TOL_SUM).bind(inst.omega))
         zeta_json = complex_to_json(zeta)
     except ConethetaError:
         zeta_json = None

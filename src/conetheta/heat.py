@@ -1,5 +1,5 @@
 """Heat-operator annihilation checks: termwise analytic residuals and
-central finite differences on evaluator families.
+central finite differences on bound families.
 
 The operator is d/d(omega_ij) - (1/(4 pi i)) d^2/dZ_i dZ_j with the n^2
 entries of omega treated as independent coordinates.  For i != j this is

@@ -1,4 +1,4 @@
-"""Action of the theta subgroup on period matrices and evaluators, the
+"""Action of the theta subgroup on period matrices and bound families, the
 transformed theta terms, numerical determination of the unit multiplier,
 and the contour-integral coboundary for the inversion element at n = 1.
 
@@ -22,18 +22,9 @@ from .errors import (
     SingularDenominator,
     ValidationError,
 )
-from .lattice import ConeSpec, ModularElement, find_split_basis
-from .linalg import check_symmetric, principal_sqrt_det, signature
-from .theta import (
-    Bound,
-    ConeSum,
-    DEFAULT_TOL,
-    Evaluator,
-    Family,
-    as_stack,
-    complex_fsum,
-    sample_points,
-)
+from .lattice import ModularElement
+from .linalg import check_symmetric, principal_sqrt_det
+from .theta import Bound, Family, ThetaValue, as_stack, complex_fsum, sample_points
 
 EIGHTH_ROOTS = tuple(cmath.exp(1j * math.pi * j / 4) for j in range(8))
 
@@ -105,16 +96,15 @@ class BoundModularImage(Bound):
         out = []
         for Z, (v, t) in zip(Zs, rows):
             pref = self.pref * cmath.exp(1j * math.pi * (Z @ self.C @ self.T @ Z))
-            out.append((pref * v, abs(pref) * t))
+            out.append(ThetaValue(pref * v, abs(pref) * t))
         return out
 
 
-def modular_apply(g: ModularElement, f: Evaluator, zeta: complex) -> Evaluator:
-    """Evaluator of f^g over the period matrix of f."""
+def modular_apply(g: ModularElement, f: Bound, zeta: complex) -> BoundModularImage:
+    """f^g bound to the period matrix of the bound family f, over f."""
     if abs(abs(zeta) - 1.0) > 1e-9:
         raise ValidationError("zeta must be a unit complex number")
-    family = ModularImage(f.family, g, zeta)
-    return Evaluator(family, f.omega, BoundModularImage(family, f.omega, f.bound))
+    return BoundModularImage(ModularImage(f.family, g, zeta), f.omega, f)
 
 
 # ---------------------------------------------------------------------------
@@ -290,31 +280,26 @@ def verify_case3_1d(tau: complex, tol: float = 1e-8) -> dict:
 # ---------------------------------------------------------------------------
 # numerical determination of the unit multiplier
 
-def determine_zeta(g: ModularElement, omega) -> tuple[complex, float]:
-    """Fit the eighth root of unity for g against a reference identity.
+def determine_zeta(g: ModularElement, f: Bound) -> tuple[complex, float]:
+    """Fit the eighth root of unity for g on the bound cone sum f, the
+    family that the multiplier multiplies, against a reference identity.
 
     Supported references: the identity element (zeta = 1); upper-triangular
-    elements (C = 0), where the transformed cone sum must reproduce the
-    plain one at five sample points; and the 1-dimensional inversion
-    (C = +-1, A = D = 0) with Im(omega) < 0 via the contour identity.
-    Elsewhere no reference is available and ValidationError is raised.
+    elements (C = 0), where f^g with zeta = 1 (modular_apply, over f) must
+    reproduce f at the five default sample points; and the 1-dimensional
+    inversion (C = +-1, A = D = 0) with Im(f.omega) < 0 via the contour
+    identity.  Elsewhere no reference is available and ValidationError is
+    raised.
     """
-    omega = check_symmetric(omega)
     n = g.n
     if g.is_identity():
         return 1.0, 0.0
     if not np.any(g.C):
-        # compare the transformed cone sum against the plain one
-        k, _ = signature(omega.imag)
-        basis = find_split_basis(omega.imag, k)
-        cone = ConeSpec(basis.positive_generators(), (0,) * n)
-        plain = Evaluator(ConeSum(cone, DEFAULT_TOL), omega)
-        image = modular_apply(g, plain, 1.0)
         samples = sample_points(n, 5)
-        ratios = [base.value / img.value for base, img in zip(plain.stack(samples), image.stack(samples))]
-        return fit_eighth_root(ratios)
+        pairs = zip(f.stack(samples), modular_apply(g, f, 1.0).stack(samples))
+        return fit_eighth_root([base.value / img.value for base, img in pairs])
     if n == 1 and g.A[0, 0] == 0 and g.D[0, 0] == 0 and abs(g.C[0, 0]) == 1:
-        tau = complex(omega[0, 0])
+        tau = complex(f.omega[0, 0])
         if tau.imag >= 0:
             raise ValidationError("inversion reference needs Im(tau) < 0")
         return fit_eighth_root([ratio for _, _, ratio in _inversion_ratios(tau, 1e-11)])

@@ -1,13 +1,14 @@
-"""Cone-restricted theta sums and their evaluator algebra.
+"""Cone-restricted theta sums and their family algebra.
 
 A single term is Theta_K(Z, omega) = exp(pi i tK omega K + 2 pi i tK Z).
 Sums run over shifted positive cones with a rigorous Gaussian tail bound;
-evaluators are immutable objects closed symbolically under the lattice
+families are immutable objects closed symbolically under the lattice
 action (prefactor and argument shift stored exactly, only the final sum is
-approximate).  Identical inputs always produce bit-identical outputs:
-all terms of a sum are evaluated in one vectorised pass and their real and
-imaginary parts are added with math.fsum, which is correctly rounded and so
-does not depend on the order of the terms.
+approximate), and a family bound to a period matrix is its evaluator.
+Identical inputs always produce bit-identical outputs: all terms of a sum
+are evaluated in one vectorised pass and their real and imaginary parts are
+added with math.fsum, which is correctly rounded and so does not depend on
+the order of the terms.
 
 What depends only on Q = Im(omega) is done once per cone and form
 (lattice.ConeForm): the factorisation, the largest enumeration so far with
@@ -23,6 +24,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,7 +48,7 @@ DEFAULT_TOL = 1e-10
 _MAX_RADIUS = 64.0
 
 #: most truncation radii a ConeForm keeps (BoundConeSum._radius), so that a
-#: long-lived evaluator scanned over many Im Z holds a bounded memo
+#: long-lived bound family scanned over many Im Z holds a bounded memo
 _RADII_KEPT = 1024
 
 
@@ -93,10 +95,9 @@ def theta_term(K, Z, omega) -> complex:
     return cmath.exp(1j * math.pi * (K @ omega @ K + 2.0 * (K @ Z)))
 
 
-@dataclass(frozen=True)
-class ThetaValue:
+class ThetaValue(NamedTuple):
     """A truncated sum value together with an absolute bound on the omitted
-    terms."""
+    terms; it unpacks as (value, tail)."""
 
     value: complex
     tail: float
@@ -254,7 +255,7 @@ def _solve_radius(forms, Z, tol: float, max_radius: float, weighted) -> tuple[fl
 
 
 # ---------------------------------------------------------------------------
-# evaluator families
+# families and their bounds
 
 def as_stack(Zs, n: int) -> np.ndarray:
     """Zs as a (p, n) complex array with p >= 1; ShapeMismatch otherwise."""
@@ -273,23 +274,24 @@ class Family:
     """Evaluation rule (omega, Z) -> (value, tail).  Families are immutable
     and deterministic.  bind checks omega once and returns the family bound
     to it (a Bound), which holds the work that depends only on omega;
-    value_tail is bind plus a stack of one."""
+    value_tail is bind plus one Z."""
 
     def bind(self, omega) -> "Bound":
         raise NotImplementedError
 
-    def value_tail(self, omega, Z) -> tuple[complex, float]:
-        (row,) = self.bind(omega).stack(_one_row(Z))
-        return row
+    def value_tail(self, omega, Z) -> ThetaValue:
+        return self.bind(omega)(Z)
 
 
 class Bound:
-    """A family bound to one checked period matrix ``omega``.
+    """A family bound to one checked period matrix ``omega``: the evaluator
+    of that family there.
 
-    stack evaluates a (p, n) stack of Z and returns one (value, tail) per
-    row.  Each row is evaluated as it would be alone: everything that
-    depends on Z is computed per row, in the same order, so a row's value
-    and tail do not depend on the other rows.
+    stack evaluates a (p, n) stack of Z and returns one ThetaValue per row;
+    calling the bound on one Z is a stack of one.  Each row is evaluated as
+    it would be alone: everything that depends on Z is computed per row, in
+    the same order, so a row's value and tail do not depend on the other
+    rows.
 
     A bound keeps, for as long as it lives, what its stacks computed from
     omega alone: a cone sum's form (lattice.ConeForm) keeps its largest
@@ -307,35 +309,15 @@ class Bound:
     def n(self) -> int:
         return self.omega.shape[0]
 
-    def stack(self, Zs) -> list[tuple[complex, float]]:
+    def __call__(self, Z) -> ThetaValue:
+        (row,) = self.stack(_one_row(Z))
+        return row
+
+    def stack(self, Zs) -> list[ThetaValue]:
         raise NotImplementedError
 
     def rebind(self, omega2) -> "Bound":
         return self.family.bind(omega2)
-
-
-@dataclass(frozen=True)
-class Evaluator:
-    """A family pinned to one period matrix.  It holds the bound family
-    (``bound``, from Family.bind unless given, as lambda_action gives the
-    family bound over an existing one); calling it on one Z, or ``stack``
-    on a (p, n) stack of Z, evaluates that."""
-
-    family: Family
-    omega: np.ndarray
-    bound: Bound | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        bound = self.bound if self.bound is not None else self.family.bind(self.omega)
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "omega", bound.omega)
-
-    def __call__(self, Z) -> ThetaValue:
-        (tv,) = self.stack(_one_row(Z))
-        return tv
-
-    def stack(self, Zs) -> list[ThetaValue]:
-        return [ThetaValue(v, t) for v, t in self.bound.stack(Zs)]
 
 
 @dataclass(frozen=True)
@@ -428,7 +410,7 @@ class BoundConeSum(Bound):
         return out
 
     def stack(self, Zs):
-        return [(value, tail) for value, tail, _ in self.evaluate(Zs)]
+        return [ThetaValue(value, tail) for value, tail, _ in self.evaluate(Zs)]
 
 
 @dataclass(frozen=True)
@@ -489,7 +471,7 @@ class BoundWedgeSum(Bound):
             K, sign, quad = signed[radius]
             with np.errstate(over="ignore", invalid="ignore"):  # inf * sign; complex_fsum rejects it
                 terms = sign * _terms(K, quad, Z)
-            out.append((complex_fsum(terms), bound))
+            out.append(ThetaValue(complex_fsum(terms), bound))
         return out
 
 
@@ -536,7 +518,7 @@ class BoundLambdaShifted(Bound):
         for Z, (v, t) in zip(Zs, self.inner.stack(Zs + self.M + self.oN)):
             # the theta term of N (theta_term), with tN omega N hoisted
             pref = cmath.exp(1j * math.pi * (self.tNoN + 2.0 * (self.N @ Z)))
-            out.append((pref * v, abs(pref) * t))
+            out.append(ThetaValue(pref * v, abs(pref) * t))
         return out
 
 
@@ -558,23 +540,22 @@ def theta_char(
     return ThetaValue(v, t)
 
 
-def lambda_action(Mvec, Nvec, f: Evaluator, delta=None) -> Evaluator:
-    """Act on an evaluator by the lattice pair (M, N) over its own period
-    matrix, wrapping its bound family (nothing of f is computed again); the
-    type vector ``delta`` twists the translation part to Delta M for
-    non-principal types."""
+def lambda_action(Mvec, Nvec, f: Bound, delta=None) -> BoundLambdaShifted:
+    """Act on a bound family by the lattice pair (M, N) over its own period
+    matrix, wrapping it (nothing of f is computed again); the type vector
+    ``delta`` twists the translation part to Delta M for non-principal
+    types."""
     M = [int(x) for x in np.asarray(Mvec).ravel()]
     if delta is not None:
         M = [int(d) * m for d, m in zip(delta, M, strict=True)]
     N = tuple(int(x) for x in np.asarray(Nvec).ravel())
-    family = LambdaShifted(f.family, tuple(M), N)
-    return Evaluator(family, f.omega, BoundLambdaShifted(family, f.bound))
+    return BoundLambdaShifted(LambdaShifted(f.family, tuple(M), N), f)
 
 
-def wedge_function(basis: SplitBasis, omega, tol: float = DEFAULT_TOL) -> Evaluator:
-    """Evaluator of the signed wedge sum attached to the unit shear at the
-    basis splitting index."""
-    return Evaluator(WedgeSum(basis, tol), np.asarray(omega, dtype=complex))
+def wedge_function(basis: SplitBasis, omega, tol: float = DEFAULT_TOL) -> BoundWedgeSum:
+    """The signed wedge sum attached to the unit shear at the basis
+    splitting index, bound to omega."""
+    return WedgeSum(basis, tol).bind(omega)
 
 
 def sample_points(n: int, count: int = 5, seed: int = DEFAULT_SEED) -> list[np.ndarray]:
@@ -610,18 +591,18 @@ def _direction_pairs(columns: np.ndarray, k: int, n: int):
 
 
 def verify_cocycle(
-    c: Evaluator, columns, k: int, delta=None, seed: int = DEFAULT_SEED
+    c: Bound, columns, k: int, delta=None, seed: int = DEFAULT_SEED
 ) -> dict[str, float]:
     """Residuals of the untouched differentials applied to a cochain placed
     at position (1..k; empty): (N_j - 1) c for j > k and (M_i - 1) c for all
-    i, evaluated at five sample points drawn from ``seed``: one stack for c
-    and one per direction, all over c's bound family.
+    i, evaluated at five sample points drawn from ``seed``: one stack for
+    the bound family c and one per direction, all over c.
 
     ``columns`` is the 2n x 2n integer coordinate matrix of the basis (the
     first n columns are the N-type directions; SplitBasis.columns_2n()).
     Returns {direction: residual}.
     """
-    n = c.omega.shape[0]
+    n = c.n
     columns = np.asarray(columns, dtype=np.int64)
     if columns.shape != (2 * n, 2 * n):
         raise ShapeMismatch("basis columns must be 2n x 2n")

@@ -608,3 +608,77 @@ def test_verify_all_searches_the_split_basis_once(payload, tmp_path, capsys, mon
     monkeypatch.undo()
     assert out == _each_suite_searching(parse_instance(payload))
     assert code == (0 if json.loads(out)["pass"] else 1)
+
+
+def test_transform_identity_needs_no_split_basis(tmp_path, capsys):
+    # zeta = 1 for g = I is read off, so a form without a split basis fits it
+    eye, zero = [[1, 0], [0, 1]], [[0, 0], [0, 0]]
+    payload = dict(_HYPERBOLIC, g={"A": eye, "B": zero, "C": zero, "D": eye})
+    assert main(["transform", "--instance", write(tmp_path, "i.json", payload)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["zeta"] == {"re": 1.0, "im": 0.0} and out["residuals"]["zeta_fit"] == 0.0
+
+
+def test_integral_shift_check_sums_two_cones(monkeypatch):
+    # integral_shift_absorbed compares the positive cone with that cone
+    # shifted by a lattice vector of it: two different ConeSpecs, whose sums
+    # agree only through ConeForm's exact move of the shift
+    cones = []
+    cone_sum = cli.ConeSum
+
+    def recorded(cone, *args, **kwargs):
+        cones.append(cone)
+        return cone_sum(cone, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "ConeSum", recorded)
+    report = cli.suite_characteristics(parse_instance(_N3))
+    plain, shifted = cones[-2:]
+    assert plain.generators.tolist() == shifted.generators.tolist()
+    assert plain.shift != shifted.shift
+    assert report.checks[-1].name == "integral_shift_absorbed" and report.checks[-1].passed
+
+
+def _n8_instance() -> dict:
+    """n = 8, k = 7: omega = 0.1 + i tP D P with P = I + E_81 - E_28 and
+    D = diag(-1, -8/7, .., -13/7, 1), the basis N = P^-1 and the
+    upper-triangular g with B_11 = 2.  The default split-basis search cannot
+    run at n = 8 (its window is too large), so every suite must use the
+    instance's basis."""
+    n = 8
+    P = np.eye(n, dtype=int)
+    P[7, 0], P[1, 7] = 1, -1
+    D = np.diag([-1.0] + [-(8 + j) / 7 for j in range(6)] + [1.0])
+    N = np.eye(n, dtype=int)
+    N[7, 0], N[1, 7], N[1, 0] = -1, 1, -1  # P^-1
+    assert (N @ P == np.eye(n, dtype=int)).all()
+    eye, zero = np.eye(n, dtype=int).tolist(), np.zeros((n, n), dtype=int).tolist()
+    B = np.zeros((n, n), dtype=int)
+    B[0, 0] = 2
+    return {
+        "n": n,
+        "k": 7,
+        "omega": cm(0.1 + 1j * (P.T @ D @ P)),
+        "basis": {"n": n, "k": 7, "N": N.tolist(), "M": P.T.tolist()},
+        "g": {"A": eye, "B": B.tolist(), "C": zero, "D": eye},
+    }
+
+
+@pytest.mark.parametrize("suite", ["cocycle", "heat", "modular-case2"])
+def test_n8_suites_fit_zeta_on_the_instance_basis(suite, tmp_path, capsys):
+    inst = write(tmp_path, "i.json", _n8_instance())
+    assert main(["verify", "--instance", inst, "--suite", suite]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"]
+
+
+def test_n8_verify_all_runs_the_zeta_suites(tmp_path, capsys):
+    inst = write(tmp_path, "i.json", _n8_instance())
+    main(["verify", "--instance", inst, "--suite", "all"])
+    ran = {r["suite"]: r.get("pass") for r in json.loads(capsys.readouterr().out)["suites"]}
+    assert ran["cocycle"] is ran["heat"] is ran["modular-case2"] is True
+
+
+def test_n8_transform_fits_zeta(tmp_path, capsys):
+    inst = write(tmp_path, "i.json", _n8_instance())
+    assert main(["transform", "--instance", inst]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["zeta"] == {"re": 1.0, "im": 0.0} and out["residuals"]["zeta_fit"] < 1e-8

@@ -181,12 +181,11 @@ _HEAT_INSTANCES = {
 def test_heat_suite_work_is_per_family(monkeypatch):
     # every fd step moves Re(omega) or Re Z only, so the suite builds one
     # form per cone sum and solves one radius per Im Z, whatever the number
-    # of index pairs (3 at n = 2, 6 at n = 3).  Three forms: the fd family,
-    # which the transformed family shares (Im(omega^g) = Im(omega) for
-    # A = D = I, C = 0, and T = I keeps Z), determine_zeta's sum at its own
-    # tolerance, whose image shares its form, and the characteristic
-    # family.  Seven radii: Z for the fd and the characteristic family, and
-    # determine_zeta's five samples
+    # of index pairs (3 at n = 2, 6 at n = 3).  Two forms: the fd family,
+    # which the transformed family and determine_zeta's fit on it share
+    # (Im(omega^g) = Im(omega) for A = D = I, C = 0, and T = I keeps Z),
+    # and the characteristic family.  Seven radii: Z for the fd and the
+    # characteristic family, and determine_zeta's five samples
     counts = {}
 
     def counted(owner, name):
@@ -208,4 +207,4 @@ def test_heat_suite_work_is_per_family(monkeypatch):
         pairs = n * (n + 1) // 2
         assert sum(c.name.startswith("fd_") for c in report.checks) == 3 * pairs + 1  # and the scaling
         work[n] = dict(counts)
-    assert work[2] == work[3] == {"__init__": 3, "_solve_radius": 7}
+    assert work[2] == work[3] == {"__init__": 2, "_solve_radius": 7}

@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from conetheta import modular
+from conetheta import lattice, modular
 from conetheta.errors import NonconvergentContour, SingularDenominator, ValidationError
 from conetheta.lattice import ConeSpec, ModularElement, SplitBasis, random_gamma12, transform_basis
 from conetheta.linalg import principal_sqrt_det, signature
@@ -23,7 +23,7 @@ from conetheta.modular import (
     verify_case3_1d,
 )
 from conetheta.rng import SplitMix64
-from conetheta.theta import ConeSum, Evaluator, sample_points, theta_term
+from conetheta.theta import ConeSum, sample_points, theta_term
 
 
 def _g(A, B, C, D):
@@ -69,7 +69,7 @@ def test_omega_transform_round_trip_and_signature():
 
 
 def test_modular_apply_identity():
-    ev = Evaluator(ConeSum(ConeSpec.full_lattice(1), 1e-12), np.array([[1j]]))
+    ev = ConeSum(ConeSpec.full_lattice(1), 1e-12).bind(np.array([[1j]]))
     out = modular_apply(ModularElement.identity(1), ev, 1.0)
     for Z in sample_points(1, 3):
         assert abs(out(Z).value - ev(Z).value) < 1e-14
@@ -77,7 +77,7 @@ def test_modular_apply_identity():
 
 def test_modular_apply_case2_fixes_cocycle():
     cone = ConeSpec(np.array([[0], [1]]), (0, 0))
-    ev = Evaluator(ConeSum(cone, 1e-12), OM2)
+    ev = ConeSum(cone, 1e-12).bind(OM2)
     B = np.array([[2, 1], [1, 0]])
     g = _g(np.eye(2, dtype=int), B, np.zeros((2, 2), dtype=int), np.eye(2, dtype=int))
     out = modular_apply(g, ev, 1.0)
@@ -344,21 +344,49 @@ def test_fit_eighth_root_exact_ratio(root):
     assert fit_eighth_root([root]) == (root, 0.0)
 
 
+def _plain(omega):
+    """The cone sum over e2, the positive direction of OM2, bound to omega."""
+    return ConeSum(ConeSpec(np.array([[0], [1]]), (0, 0))).bind(omega)
+
+
+def _point(omega):
+    """The rank-0 cone sum (the constant 1) at n = 1, bound to omega."""
+    return ConeSum(ConeSpec(np.zeros((1, 0), dtype=np.int64), (0,))).bind(omega)
+
+
 def test_determine_zeta_identity():
-    zeta, resid = determine_zeta(ModularElement.identity(2), OM2)
+    zeta, resid = determine_zeta(ModularElement.identity(2), _plain(OM2))
     assert zeta == 1.0 and resid == 0.0
 
 
 def test_determine_zeta_case2_is_one():
     B = np.array([[2, 1], [1, 0]])
     g = _g(np.eye(2, dtype=int), B, np.zeros((2, 2), dtype=int), np.eye(2, dtype=int))
-    zeta, resid = determine_zeta(g, OM2)
+    zeta, resid = determine_zeta(g, _plain(OM2))
     assert abs(zeta - 1.0) < 1e-12
     assert resid < 1e-8
 
 
+def test_determine_zeta_case2_fits_on_the_given_family(monkeypatch):
+    # the fit factors nothing: f^g shares the form of f (Im(omega^g) =
+    # Im(omega) for A = D = I, C = 0), and the cone is the one f sums over
+    B = np.array([[2, 1], [1, 0]])
+    g = _g(np.eye(2, dtype=int), B, np.zeros((2, 2), dtype=int), np.eye(2, dtype=int))
+    f = _plain(OM2)
+    forms = []
+    init = lattice.ConeForm.__init__
+
+    def counted(self, *args):
+        forms.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(lattice.ConeForm, "__init__", counted)
+    zeta, _ = determine_zeta(g, f)
+    assert zeta == 1.0 and forms == []
+
+
 def test_determine_zeta_inversion():
-    zeta, resid = determine_zeta(J1, np.array([[-1j]]))
+    zeta, resid = determine_zeta(J1, _point(np.array([[-1j]])))
     assert resid < 1e-8
     assert abs(zeta**8 - 1.0) < 1e-12
     assert abs(zeta - cmath.exp(-3j * math.pi / 4)) < 1e-12
@@ -367,7 +395,7 @@ def test_determine_zeta_inversion():
 def test_determine_zeta_inversion_small_imaginary_part():
     # the contour at z = 1.3 carries rounding noise near the 1e-11 the probes
     # are integrated to; the root is exp(-3 pi i / 4) for every lower-half tau
-    zeta, resid = determine_zeta(J1, np.array([[0.99 - 0.24j]]))
+    zeta, resid = determine_zeta(J1, _point(np.array([[0.99 - 0.24j]])))
     assert abs(zeta - cmath.exp(-3j * math.pi / 4)) < 1e-12
     assert resid < 1e-9
 
@@ -375,4 +403,4 @@ def test_determine_zeta_inversion_small_imaginary_part():
 def test_determine_zeta_unavailable_reference():
     g = _g([[1, 0], [0, 0]], [[0, 0], [0, -1]], [[0, 0], [0, 1]], [[1, 0], [0, 0]])
     with pytest.raises(ValidationError):
-        determine_zeta(g, OM2)
+        determine_zeta(g, _plain(OM2))

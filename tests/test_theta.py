@@ -24,7 +24,6 @@ from conetheta.rng import SplitMix64
 from conetheta.theta import (
     Characteristic,
     ConeSum,
-    Evaluator,
     LambdaShifted,
     WedgeSum,
     complex_fsum,
@@ -179,18 +178,18 @@ def test_cone_sum_factors_the_cone_once(monkeypatch):
     counted(lattice, "_enumerate")  # what ConeForm.points calls
     counts.clear()
     basis = SplitBasis.identity(3, 1)
-    residuals = verify_cocycle(Evaluator(ConeSum(cone), omega), basis.columns_2n(), basis.k)
+    residuals = verify_cocycle(ConeSum(cone).bind(omega), basis.columns_2n(), basis.k)
     assert len(residuals) == 5
     assert dict(counts) == {"eigvalsh": 1, "cholesky": 1, "_enumerate": 2}
 
     # the image under an upper-triangular element with A = D = I transforms
     # omega once, and Im(omega^g) = Im(omega) bit for bit, so its inner sum
-    # shares a fresh evaluator's form: nothing is factored again, and its
-    # rows (T = I) enumerate as often as the plain evaluator's
+    # shares a fresh bound's form: nothing is factored again, and its
+    # rows (T = I) enumerate as often as the plain bound's
     counted(modular, "omega_transform")
     counts.clear()
     g = ModularElement(np.eye(3), np.array([[2, 1, 0], [1, 0, 1], [0, 1, 2]]), np.zeros((3, 3)), np.eye(3))
-    cg = modular_apply(g, Evaluator(ConeSum(cone), omega), 1.0)
+    cg = modular_apply(g, ConeSum(cone).bind(omega), 1.0)
     residuals = verify_cocycle(cg, lattice.transform_basis(g, basis)[0], basis.k)
     assert dict(counts) == {"eigvalsh": 1, "cholesky": 1, "omega_transform": 1, "_enumerate": 2}
 
@@ -211,7 +210,7 @@ def test_tail_is_true_bound():
 
 
 def test_evaluation_deterministic():
-    ev = Evaluator(ConeSum(FULL1, 1e-12), OM1)
+    ev = ConeSum(FULL1, 1e-12).bind(OM1)
     Z = np.array([0.3 + 0.2j])
     first = ev(Z)
     second = ev(Z)
@@ -253,14 +252,14 @@ def test_reduced_characteristics_count():
 
 
 def test_lambda_action_identity_pair():
-    ev = Evaluator(ConeSum(FULL1, 1e-12), OM1)
+    ev = ConeSum(FULL1, 1e-12).bind(OM1)
     acted = lambda_action((0,), (0,), ev)
     for Z in sample_points(1, 3):
         assert abs(acted(Z).value - ev(Z).value) == 0.0
 
 
 def test_lambda_action_translation_only():
-    ev = Evaluator(ConeSum(FULL1, 1e-12), OM1)
+    ev = ConeSum(FULL1, 1e-12).bind(OM1)
     acted = lambda_action((1,), (0,), ev)
     for Z in sample_points(1, 3):
         assert abs(acted(Z).value - ev(Z + 1.0).value) < 1e-14
@@ -273,10 +272,10 @@ def test_lambda_action_shifts_cone():
     # negative-cone direction (a genuinely different point set)
     om = np.diag([-1j, 1j])
     cone = ConeSpec(np.array([[0], [1]]), (0, 0))
-    ev = Evaluator(ConeSum(cone, 1e-12), om)
+    ev = ConeSum(cone, 1e-12).bind(om)
     for direction in ((0, 1), (1, 0)):
         shifted = ConeSpec(np.array([[0], [1]]), direction)
-        ev_shift = Evaluator(ConeSum(shifted, 1e-12), om)
+        ev_shift = ConeSum(shifted, 1e-12).bind(om)
         acted = lambda_action((0, 0), direction, ev)
         for Z in sample_points(2, 5):
             assert abs(acted(Z).value - ev_shift(Z).value) < 1e-9
@@ -285,7 +284,7 @@ def test_lambda_action_shifts_cone():
 def test_lambda_action_composition():
     om = np.diag([-1j, 1j])
     cone = ConeSpec(np.array([[0], [1]]), (0, 0))
-    ev = Evaluator(ConeSum(cone, 1e-12), om)
+    ev = ConeSum(cone, 1e-12).bind(om)
     rng = SplitMix64(55)
     for _ in range(10):
         M1 = (rng.next_int(-1, 1), rng.next_int(-1, 1))
@@ -331,8 +330,8 @@ def test_wedge_function_matches_oracle():
 def test_wedge_shear_identity():
     # (shear-direction action - 1) f = plain cone sum - sheared cone sum
     f = wedge_function(WBASIS, WOM, tol=1e-12)
-    plain = Evaluator(ConeSum(ConeSpec(np.array([[0], [1]]), (0, 0)), 1e-12), WOM)
-    sheared = Evaluator(ConeSum(ConeSpec(np.array([[-1], [1]]), (0, 0)), 1e-12), WOM)
+    plain = ConeSum(ConeSpec(np.array([[0], [1]]), (0, 0)), 1e-12).bind(WOM)
+    sheared = ConeSum(ConeSpec(np.array([[-1], [1]]), (0, 0)), 1e-12).bind(WOM)
     for Z in sample_points(2, 5):
         lhs = lambda_action((0, 0), (1, 0), f)(Z).value - f(Z).value
         rhs = plain(Z).value - sheared(Z).value
@@ -348,7 +347,7 @@ def test_wedge_rejects_a_form_positive_on_the_shear_direction():
 
 def test_wedge_next_identity():
     f = wedge_function(WBASIS, WOM, tol=1e-12)
-    sheared = Evaluator(ConeSum(ConeSpec(np.array([[-1], [1]]), (0, 0)), 1e-12), WOM)
+    sheared = ConeSum(ConeSpec(np.array([[-1], [1]]), (0, 0)), 1e-12).bind(WOM)
     for Z in sample_points(2, 5):
         lhs = lambda_action((0, 0), (0, 1), f)(Z).value - f(Z).value
         assert abs(lhs + sheared(Z).value) < 1e-8
@@ -363,7 +362,7 @@ def _cols(n, k):
 
 
 def test_verify_cocycle_classical():
-    ev = Evaluator(ConeSum(FULL1, 1e-12), OM1)
+    ev = ConeSum(FULL1, 1e-12).bind(OM1)
     res = verify_cocycle(ev, *_cols(1, 0))
     assert set(res) == {"N_1", "M_1"}
     assert all(r < 1e-9 for r in res.values())
@@ -371,7 +370,7 @@ def test_verify_cocycle_classical():
 
 def test_verify_cocycle_point_cone_exact():
     om = np.array([[-1j]])
-    ev = Evaluator(ConeSum(ConeSpec(np.zeros((1, 0), dtype=np.int64), (0,)), 1e-12), om)
+    ev = ConeSum(ConeSpec(np.zeros((1, 0), dtype=np.int64), (0,)), 1e-12).bind(om)
     res = verify_cocycle(ev, *_cols(1, 1))
     assert set(res) == {"M_1"}
     assert res["M_1"] < 1e-12
@@ -379,7 +378,7 @@ def test_verify_cocycle_point_cone_exact():
 
 def test_verify_cocycle_indefinite():
     om = np.diag([-1j, 1j])
-    ev = Evaluator(ConeSum(ConeSpec(np.array([[0], [1]]), (0, 0)), 1e-12), om)
+    ev = ConeSum(ConeSpec(np.array([[0], [1]]), (0, 0)), 1e-12).bind(om)
     res = verify_cocycle(ev, *_cols(2, 1))
     assert set(res) == {"N_2", "M_1", "M_2"}
     assert all(r < 1e-8 for r in res.values())
@@ -389,7 +388,7 @@ def test_verify_cocycle_twisted_characteristic():
     om = np.diag([-1j, 1j])
     char = Characteristic((0, Fraction(1, 2)), (1, 2))
     cone = ConeSpec(np.array([[0], [1]]), (0, 0)).with_extra_shift(char.a)
-    ev = Evaluator(ConeSum(cone, 1e-12), om)
+    ev = ConeSum(cone, 1e-12).bind(om)
     res = verify_cocycle(ev, *_cols(2, 1), delta=char.delta)
     assert all(r < 1e-8 for r in res.values())
 
