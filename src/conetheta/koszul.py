@@ -4,7 +4,10 @@ and the induced chain map between the resolutions of two bases.
 
 Coefficients are Python ints (arbitrary precision); a group-ring element
 is a finite map from exponent vectors to nonzero integers.  All operations
-are exact; ring operations skip the public constructor's validation.  A
+are exact; ring operations skip the public constructor's validation, and
+the Koszul differential and the chain map add their terms straight into one
+{exponent: coefficient} dict per output component, building each element
+once.  A
 ChainMap checks and decomposes its basis change once, for any number of
 chains.  It is an exterior-algebra map: higher degrees are wedge products
 of the degree-1 images.  Both Koszul differentials are derivations, so
@@ -13,6 +16,8 @@ verify_chain_map checks s_* d = d' s_* on the degree-1 generators only.
 
 from __future__ import annotations
 
+import operator
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,10 +87,7 @@ class GroupRingElement:
         if other.rank != self.rank:
             raise ShapeMismatch("group-ring elements of different rank")
         out: dict[tuple, int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                out[key] = out.get(key, 0) + c1 * c2
+        _add_product(out, self.terms, other.terms, 1)
         return GroupRingElement._of(self.rank, out)
 
     def scale(self, c: int) -> "GroupRingElement":
@@ -116,8 +118,24 @@ class GroupRingElement:
         return "GR(" + " ".join(bits) + ")"
 
 
+def _add_product(out: dict, terms1: dict, terms2: dict, sign: int) -> None:
+    """Add sign * terms1 * terms2 (convolution of {exponent: coefficient}
+    maps) into ``out`` in place; exponent vectors add."""
+    add = operator.add
+    for e1, c1 in terms1.items():
+        if sign < 0:
+            c1 = -c1
+        for e2, c2 in terms2.items():
+            key = tuple(map(add, e1, e2))
+            out[key] = out.get(key, 0) + c1 * c2
+
+
 def x_minus_one(rank: int, exp) -> GroupRingElement:
-    return GroupRingElement(rank, {tuple(int(e) for e in exp): 1, (0,) * rank: -1})
+    """x^exp - 1, which is zero for the zero exponent."""
+    exp = tuple(int(e) for e in exp)
+    if len(exp) != rank:
+        raise ShapeMismatch("exponent length != rank")
+    return GroupRingElement._of(rank, {exp: 1, (0,) * rank: -1} if any(exp) else {})
 
 
 def telescope_decompose(exp, basis_order=None) -> list[GroupRingElement]:
@@ -127,12 +145,12 @@ def telescope_decompose(exp, basis_order=None) -> list[GroupRingElement]:
     with x^prefix the factors peeled before j, written out term by term:
     +x^(prefix + p e_j) for p in range(e), or -x^(prefix + p e_j) for p in
     range(e, 0)."""
-    exp = [int(e) for e in exp]
+    exp = list(map(int, exp))
     rank = len(exp)
-    order = list(basis_order) if basis_order is not None else list(range(rank))
+    order = range(rank) if basis_order is None else list(basis_order)
     if sorted(order) != list(range(rank)):
         raise ShapeMismatch("basis_order must be a permutation of 0..rank-1")
-    out = [GroupRingElement.zero(rank) for _ in range(rank)]
+    out = [GroupRingElement.zero(rank)] * rank  # one immutable zero
     prefix = [0] * rank  # exponent of the factors peeled so far; prefix[j] = 0 here
     for j in order:
         e = exp[j]
@@ -159,14 +177,25 @@ class KoszulChain:
     def __post_init__(self):
         clean = {}
         for subset, coef in self.components.items():
-            subset = tuple(int(i) for i in subset)
+            subset = tuple(map(int, subset))
             if len(subset) != self.degree or list(subset) != sorted(set(subset)):
                 raise ShapeMismatch("subsets must be strictly increasing of the degree")
-            if any(i < 0 or i >= self.rank for i in subset):
+            if subset and (subset[0] < 0 or subset[-1] >= self.rank):
                 raise ShapeMismatch("wedge index out of range")
             if not coef.is_zero():
                 clean[subset] = coef
         object.__setattr__(self, "components", clean)
+
+    @classmethod
+    def _of(cls, rank: int, degree: int, components: dict) -> "KoszulChain":
+        """Chain from valid subsets and their elements; drops zeros only."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(
+            self, "components", {s: c for s, c in components.items() if c.terms}
+        )
+        return self
 
     @classmethod
     def generator(cls, rank: int, subset) -> "KoszulChain":
@@ -178,12 +207,12 @@ class KoszulChain:
             raise ShapeMismatch("chain shapes differ")
         out = dict(self.components)
         for subset, coef in other.components.items():
-            out[subset] = out.get(subset, GroupRingElement.zero(self.rank)) + coef
-        return KoszulChain(self.rank, self.degree, out)
+            out[subset] = out[subset] + coef if subset in out else coef
+        return KoszulChain._of(self.rank, self.degree, out)
 
     def __sub__(self, other: "KoszulChain") -> "KoszulChain":
         neg = {s: -c for s, c in other.components.items()}
-        return self + KoszulChain(other.rank, other.degree, neg)
+        return self + KoszulChain._of(other.rank, other.degree, neg)
 
     def is_zero(self) -> bool:
         return not self.components
@@ -197,12 +226,10 @@ class KoszulChain:
         )
 
 
-def _basis_exponent(basis: np.ndarray | None, rank: int, index: int):
-    if basis is None:
-        exp = [0] * rank
-        exp[index] = 1
-        return tuple(exp)
-    return tuple(int(x) for x in basis[:, index])
+def _chain_of(rank: int, degree: int, out: dict) -> KoszulChain:
+    """Chain from {subset: {exponent: coefficient}} maps the module made."""
+    of = GroupRingElement._of
+    return KoszulChain._of(rank, degree, {s: of(rank, t) for s, t in out.items()})
 
 
 def koszul_d(chain: KoszulChain, basis=None) -> KoszulChain:
@@ -210,37 +237,50 @@ def koszul_d(chain: KoszulChain, basis=None) -> KoszulChain:
     sum_i (-1)^{i+1} a (x_{p_i} - 1) (x) w_{p_1}..^w_{p_i}..w_{p_k}.
 
     ``basis``: optional 2n x 2n integer matrix whose column p is the exponent
-    vector of the generator x_p (default: reference basis).
+    vector of the generator x_p (default: reference basis).  Each term c x^t
+    of a adds c x^(t + e) - c x^t, e the exponent of x_{p_i}, straight into
+    the output component's {exponent: coefficient} map.
     """
     if chain.degree < 1:
         raise ShapeMismatch("differential needs degree >= 1")
-    if basis is not None:
-        basis = as_int_matrix(basis)
     rank = chain.rank
-    out: dict[tuple, GroupRingElement] = {}
+    if basis is None:
+        columns = [(0,) * p + (1,) + (0,) * (rank - p - 1) for p in range(rank)]
+    else:
+        basis = as_int_matrix(basis)
+        if basis.shape != (rank, rank):
+            raise ShapeMismatch("basis must be %d x %d" % (rank, rank))
+        columns = [tuple(col) for col in basis.T.tolist()]
+    add = operator.add
+    out: dict[tuple, dict] = {}
     for subset, coef in chain.components.items():
         for pos, p in enumerate(subset):
-            sign = -1 if pos % 2 else 1
             rest = subset[:pos] + subset[pos + 1 :]
-            factor = x_minus_one(rank, _basis_exponent(basis, rank, p))
-            term = (coef * factor).scale(sign)
-            out[rest] = out.get(rest, GroupRingElement.zero(rank)) + term
-    return KoszulChain(rank, chain.degree - 1, out)
+            acc = out.setdefault(rest, {})
+            e, odd = columns[p], pos % 2
+            for t, c in coef.terms.items():
+                if odd:
+                    c = -c
+                moved = tuple(map(add, t, e))
+                acc[moved] = acc.get(moved, 0) + c
+                acc[t] = acc.get(t, 0) - c
+    return _chain_of(rank, chain.degree - 1, out)
 
 
-def _wedge(chain: dict, image: dict) -> dict:
-    """The wedge product chain ^ image of two {sorted index tuple: group-ring
-    element} maps, image of degree 1: w_T ^ w_t is 0 for t in T and else
-    (-1)^#{u in T : u > t} times w of T with t put in place."""
-    out: dict[tuple, GroupRingElement] = {}
+def _wedge(chain: dict, image: dict, out: dict | None = None) -> dict:
+    """The wedge product chain ^ image of two {sorted index tuple: {exponent:
+    coefficient}} maps, image of degree 1, added into ``out`` (default: a
+    new map): w_T ^ w_t is 0 for t in T and else (-1)^#{u in T : u > t}
+    times w of T with t put in place.  Zero coefficients may remain."""
+    if out is None:
+        out = {}
     for T, a in chain.items():
         for t, r in image.items():
-            if t in T:
+            i = bisect_left(T, t)
+            if i < len(T) and T[i] == t:
                 continue
-            above = sum(u > t for u in T)
-            term = a * r if above % 2 == 0 else -(a * r)
-            key = tuple(sorted(T + (t,)))
-            out[key] = out.get(key, GroupRingElement.zero(a.rank)) + term
+            key = T[:i] + (t,) + T[i:]
+            _add_product(out.setdefault(key, {}), a, r, -1 if (len(T) - i) % 2 else 1)
     return out
 
 
@@ -256,7 +296,8 @@ class ChainMap:
     order, so w_{t_1}..w_{t_k} gets the minor det(R_{p_i t_j}).  The
     constructor checks once that S is symplectic (NotSymplectic otherwise)
     and decomposes each column once.  Any peeling order yields a chain map;
-    the orders differ by a chain homotopy.
+    the orders differ by a chain homotopy.  ``images[p]`` holds s(w_p) as
+    {t: {exponent: coefficient}}.
     """
 
     def __init__(self, S, basis_order=None):
@@ -264,21 +305,23 @@ class ChainMap:
         if not is_symplectic(ModularElement.from_matrix(S)):
             raise NotSymplectic("basis-change matrix is not symplectic")
         self.rank = rank = S.shape[0]
-        rows = (telescope_decompose(S[:, i], basis_order) for i in range(rank))
-        self.images = [{t: r for t, r in enumerate(R) if not r.is_zero()} for R in rows]
+        rows = (telescope_decompose(col, basis_order) for col in S.T.tolist())
+        self.images = [{t: r.terms for t, r in enumerate(R) if r.terms} for R in rows]
 
     def __call__(self, chain: KoszulChain) -> KoszulChain:
         rank = self.rank
         if chain.rank != rank:
             raise ShapeMismatch("matrix size does not match chain rank")
-        out: dict[tuple, GroupRingElement] = {}
+        out: dict[tuple, dict] = {}
         for subset, coef in chain.components.items():
-            image = {(): coef}
-            for p in subset:
+            if not subset:  # degree 0: s_* is the identity on the group ring
+                out[()] = dict(coef.terms)
+                continue
+            image = {(): coef.terms}
+            for p in subset[:-1]:
                 image = _wedge(image, self.images[p])
-            for target, term in image.items():
-                out[target] = out.get(target, GroupRingElement.zero(rank)) + term
-        return KoszulChain(rank, chain.degree, out)
+            _wedge(image, self.images[subset[-1]], out)
+        return _chain_of(rank, chain.degree, out)
 
 
 def s_star(S, chain: KoszulChain, basis_order=None) -> KoszulChain:
@@ -328,9 +371,10 @@ def type_Ic(n: int, k: int) -> np.ndarray:
     the first half; ShapeMismatch unless 1 <= k <= n-1."""
     if not (1 <= k <= n - 1):
         raise ShapeMismatch("shear index out of range")
-    A = np.eye(n, dtype=np.int64)
-    A[k - 1, k] = 1
-    return _block_diag_symplectic(A)
+    S = np.eye(2 * n, dtype=np.int64)
+    S[k - 1, k] = 1  # A = I + E_{k,k+1}
+    S[n + k, n + k - 1] = -1  # its inverse transpose I - E_{k+1,k}
+    return S
 
 
 def type_II(B) -> np.ndarray:

@@ -37,7 +37,7 @@ from .intmat import (
     unimodular_completion,
     unimodular_inverse,
 )
-from .linalg import as_real_symmetric, signature
+from .linalg import as_real_symmetric, as_square_real, signature
 
 _POS_EIG_TOL = 1e-10
 
@@ -379,7 +379,9 @@ class ConeForm:
     """
 
     def __init__(self, cone: ConeSpec, Q):
-        Q = as_real_symmetric(Q)
+        # Q must be exactly symmetric; the sums pass Im of an omega that
+        # check_symmetric has symmetrised, so it is not mirrored again
+        Q = as_square_real(Q)
         if Q.shape[0] != cone.n:
             raise ShapeMismatch("form and cone dimensions differ")
         self.Q = Q

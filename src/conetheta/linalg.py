@@ -31,14 +31,20 @@ def as_square_complex(M) -> np.ndarray:
     return A
 
 
-def as_real_symmetric(Q) -> np.ndarray:
-    A = np.asarray(Q, dtype=float)
+def as_square_real(Q) -> np.ndarray:
+    """Q as a new C-ordered float matrix, checked square and finite."""
+    A = np.array(Q, dtype=float)
     if A.ndim == 0:
         A = A.reshape(1, 1)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ShapeMismatch("expected a square matrix, got shape %r" % (A.shape,))
     if not np.all(np.isfinite(A)):
         raise ShapeMismatch("matrix entries must be finite")
+    return A
+
+
+def as_real_symmetric(Q) -> np.ndarray:
+    A = as_square_real(Q)
     # the upper triangle is authoritative; mirror it
     return np.triu(A) + np.triu(A, 1).T
 

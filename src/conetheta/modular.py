@@ -280,27 +280,36 @@ def verify_case3_1d(tau: complex, tol: float = 1e-8) -> dict:
 # ---------------------------------------------------------------------------
 # numerical determination of the unit multiplier
 
+def zeta_reference(g: ModularElement, omega) -> str:
+    """The reference identity that determine_zeta fits g's multiplier
+    against at omega: "identity" (g = I), "upper" (C = 0) or "inversion"
+    (n = 1, A = D = 0, C = +-1, Im(tau) < 0).  Raises ValidationError when
+    none applies, before any cone sum is built."""
+    if g.is_identity():
+        return "identity"
+    if not np.any(g.C):
+        return "upper"
+    if g.n == 1 and g.A[0, 0] == 0 and g.D[0, 0] == 0 and abs(g.C[0, 0]) == 1:
+        if complex(omega[0, 0]).imag >= 0:
+            raise ValidationError("inversion reference needs Im(tau) < 0")
+        return "inversion"
+    raise ValidationError("no reference identity available for this element")
+
+
 def determine_zeta(g: ModularElement, f: Bound) -> tuple[complex, float]:
     """Fit the eighth root of unity for g on the bound cone sum f, the
-    family that the multiplier multiplies, against a reference identity.
-
-    Supported references: the identity element (zeta = 1); upper-triangular
-    elements (C = 0), where f^g with zeta = 1 (modular_apply, over f) must
-    reproduce f at the five default sample points; and the 1-dimensional
-    inversion (C = +-1, A = D = 0) with Im(f.omega) < 0 via the contour
-    identity.  Elsewhere no reference is available and ValidationError is
-    raised.
+    family that the multiplier multiplies, against a reference identity
+    (zeta_reference): zeta = 1 for the identity; for C = 0, f^g with
+    zeta = 1 (modular_apply, over f) must reproduce f at the five default
+    sample points; for the 1-dimensional inversion, the contour identity at
+    f.omega.  Elsewhere ValidationError is raised.
     """
-    n = g.n
-    if g.is_identity():
+    reference = zeta_reference(g, f.omega)
+    if reference == "identity":
         return 1.0, 0.0
-    if not np.any(g.C):
-        samples = sample_points(n, 5)
+    if reference == "upper":
+        samples = sample_points(g.n, 5)
         pairs = zip(f.stack(samples), modular_apply(g, f, 1.0).stack(samples))
         return fit_eighth_root([base.value / img.value for base, img in pairs])
-    if n == 1 and g.A[0, 0] == 0 and g.D[0, 0] == 0 and abs(g.C[0, 0]) == 1:
-        tau = complex(f.omega[0, 0])
-        if tau.imag >= 0:
-            raise ValidationError("inversion reference needs Im(tau) < 0")
-        return fit_eighth_root([ratio for _, _, ratio in _inversion_ratios(tau, 1e-11)])
-    raise ValidationError("no reference identity available for this element")
+    tau = complex(f.omega[0, 0])
+    return fit_eighth_root([ratio for _, _, ratio in _inversion_ratios(tau, 1e-11)])

@@ -619,6 +619,34 @@ def test_transform_identity_needs_no_split_basis(tmp_path, capsys):
     assert out["zeta"] == {"re": 1.0, "im": 0.0} and out["residuals"]["zeta_fit"] == 0.0
 
 
+def test_transform_without_a_reference_builds_no_cone(tmp_path, capsys, monkeypatch):
+    # the n = 2 inversion has no reference identity, so zeta is null; the
+    # command learns that before it builds the positive cone, whose split
+    # basis search the hyperbolic plane would run (and fail) for nothing
+    eye, zero = [[1, 0], [0, 1]], [[0, 0], [0, 0]]
+    minus = [[-1, 0], [0, -1]]
+    payload = dict(_HYPERBOLIC, g={"A": zero, "B": minus, "C": eye, "D": zero})
+    path = write(tmp_path, "i.json", payload)
+    searches = []
+    search = cli.find_split_basis
+
+    def counted(*args, **kwargs):
+        searches.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "find_split_basis", counted)
+    assert main(["transform", "--instance", path]) == 0
+    out = capsys.readouterr().out
+    assert searches == []
+    assert json.loads(out)["zeta"] is None and "zeta_fit" not in json.loads(out)["residuals"]
+    # byte-identical to the path that builds the cone first (the search
+    # fails, and the error is caught in the same place)
+    monkeypatch.setattr(cli, "zeta_reference", lambda g, omega: "upper")
+    assert main(["transform", "--instance", path]) == 0
+    assert capsys.readouterr().out == out
+    assert len(searches) == 1
+
+
 def test_integral_shift_check_sums_two_cones(monkeypatch):
     # integral_shift_absorbed compares the positive cone with that cone
     # shifted by a lattice vector of it: two different ConeSpecs, whose sums

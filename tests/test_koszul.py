@@ -381,3 +381,114 @@ def test_chain_map_is_the_minors_form(n):
                     scaled = {t: coef * c for t, c in image.components.items()}
                     expected = expected + KoszulChain(rank, deg, scaled)
                 assert s_map(KoszulChain(rank, deg, chain)) == expected
+
+
+def test_x_minus_one_of_the_zero_exponent_is_zero():
+    # the dict literal {exp: 1, zero: -1} kept only the -1 for exp = 0
+    assert x_minus_one(RANK, (0, 0, 0, 0)).is_zero()
+    assert x_minus_one(RANK, (0, 2, 0, 0)) == mono(0, 2, 0, 0) - GroupRingElement.one(RANK)
+    with pytest.raises(ShapeMismatch):
+        x_minus_one(RANK, (1, 0))
+
+
+def test_koszul_d_of_a_zero_basis_column_is_zero():
+    # x_p = x^0 = 1 when column p is zero, so d(w_p) = x_p - 1 = 0
+    basis = np.eye(RANK, dtype=np.int64)
+    basis[:, 1] = 0
+    assert koszul_d(KoszulChain.generator(RANK, (1,)), basis=basis).is_zero()
+    d = koszul_d(KoszulChain.generator(RANK, (0, 1)), basis=basis)
+    assert d.components == {(1,): x_minus_one(RANK, (1, 0, 0, 0))}
+
+
+def test_koszul_d_rejects_a_basis_of_another_size():
+    with pytest.raises(ShapeMismatch):
+        koszul_d(KoszulChain.generator(RANK, (0,)), basis=np.eye(2, dtype=np.int64))
+
+
+# -- the term-by-term product form that koszul_d and ChainMap replaced --------
+
+def _reference_koszul_d(chain, basis=None):
+    """d as a sum of group-ring products a (x_p - 1), one element per term
+    (x_p - 1 written as x^e minus one, so a zero column gives 0)."""
+    rank = chain.rank
+    out = {}
+    for subset, coef in chain.components.items():
+        for pos, p in enumerate(subset):
+            if basis is None:
+                exp = [0] * rank
+                exp[p] = 1
+            else:
+                exp = [int(x) for x in basis[:, p]]
+            factor = GroupRingElement.monomial(exp) - GroupRingElement.one(rank)
+            term = (coef * factor).scale(-1 if pos % 2 else 1)
+            rest = subset[:pos] + subset[pos + 1 :]
+            out[rest] = out.get(rest, GroupRingElement.zero(rank)) + term
+    return KoszulChain(rank, chain.degree - 1, out)
+
+
+def _reference_wedge(chain, image):
+    out = {}
+    for T, a in chain.items():
+        for t, r in image.items():
+            if t in T:
+                continue
+            term = a * r if sum(u > t for u in T) % 2 == 0 else -(a * r)
+            key = tuple(sorted(T + (t,)))
+            out[key] = out.get(key, GroupRingElement.zero(a.rank)) + term
+    return out
+
+
+def _reference_chain_map(S, chain, order):
+    rank = len(S)
+    rows = [telescope_decompose(S[:, i], order) for i in range(rank)]
+    images = [{t: r for t, r in enumerate(R) if not r.is_zero()} for R in rows]
+    out = {}
+    for subset, coef in chain.components.items():
+        image = {(): coef}
+        for p in subset:
+            image = _reference_wedge(image, images[p])
+        for target, term in image.items():
+            out[target] = out.get(target, GroupRingElement.zero(rank)) + term
+    return KoszulChain(rank, chain.degree, out)
+
+
+# integers on both sides of the int64 range, so that a wrapped product or
+# sum would differ from the reference
+_WIDE = st.one_of(st.integers(-3, 3), st.integers(-(2**80), 2**80))
+
+
+@st.composite
+def _chains(draw, rank):
+    degree = draw(st.integers(1, 4))
+    subsets = list(itertools.combinations(range(rank), degree))
+    components = {}
+    for subset in draw(st.lists(st.sampled_from(subsets), min_size=1, max_size=3, unique=True)):
+        terms = draw(
+            st.dictionaries(st.tuples(*([_WIDE] * rank)), _WIDE, min_size=1, max_size=3)
+        )
+        components[subset] = GroupRingElement(rank, terms)
+    return KoszulChain(rank, degree, components)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_koszul_d_and_chain_map_match_the_product_form(data):
+    n = data.draw(st.integers(2, 3))
+    rank = 2 * n
+    S = random_type_word(n, data.draw(st.integers(1, n)), data.draw(st.integers(1, 3)),
+                         SplitMix64(data.draw(st.integers(0, 2**32))))
+    order = data.draw(st.permutations(range(rank)))
+    chain = data.draw(_chains(rank))
+    assert koszul_d(chain) == _reference_koszul_d(chain)
+    assert koszul_d(chain, basis=S) == _reference_koszul_d(chain, basis=S)
+    image = ChainMap(S, order)(chain)
+    assert image == _reference_chain_map(S, chain, order)
+    assert koszul_d(image) == ChainMap(S, order)(koszul_d(chain, basis=S))
+
+
+def test_koszul_d_keeps_integers_beyond_int64():
+    # one term beyond int64 in coefficient and exponent, checked by hand
+    big = 2**70
+    chain = KoszulChain(RANK, 1, {(0,): GroupRingElement(RANK, {(big, 0, 0, 0): big})})
+    expected = {(): GroupRingElement(RANK, {(big + 1, 0, 0, 0): big, (big, 0, 0, 0): -big})}
+    assert koszul_d(chain).components == expected == _reference_koszul_d(chain).components

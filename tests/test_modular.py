@@ -21,6 +21,7 @@ from conetheta.modular import (
     omega_transform,
     shift_rhs,
     verify_case3_1d,
+    zeta_reference,
 )
 from conetheta.rng import SplitMix64
 from conetheta.theta import ConeSum, sample_points, theta_term
@@ -398,6 +399,22 @@ def test_determine_zeta_inversion_small_imaginary_part():
     zeta, resid = determine_zeta(J1, _point(np.array([[0.99 - 0.24j]])))
     assert abs(zeta - cmath.exp(-3j * math.pi / 4)) < 1e-12
     assert resid < 1e-9
+
+
+def test_zeta_reference_needs_no_cone_sum():
+    # the reference is read off g and omega alone, so a caller can check it
+    # before it builds a cone
+    B = np.array([[2, 1], [1, 0]])
+    upper = _g(np.eye(2, dtype=int), B, np.zeros((2, 2), dtype=int), np.eye(2, dtype=int))
+    assert zeta_reference(ModularElement.identity(2), OM2) == "identity"
+    assert zeta_reference(upper, OM2) == "upper"
+    assert zeta_reference(J1, np.array([[-1j]])) == "inversion"
+    with pytest.raises(ValidationError):
+        zeta_reference(J1, np.array([[1j]]))
+    inversion2 = _g(np.zeros((2, 2), dtype=int), -np.eye(2, dtype=int), np.eye(2, dtype=int),
+                    np.zeros((2, 2), dtype=int))
+    with pytest.raises(ValidationError):
+        zeta_reference(inversion2, OM2)
 
 
 def test_determine_zeta_unavailable_reference():

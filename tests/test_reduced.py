@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -216,3 +217,70 @@ def test_euler_characteristic(k, w):
     dims = sum((-1) ** p * component_dimension(k, w, p) for p in range(k + 1))
     betti = sum((-1) ** p * b for p, b in enumerate(cohomology_ranks(k, w)))
     assert dims == betti == (-1) ** k
+
+
+def _reference_component_points(k, w, subset):
+    window = [range(-w, w + 1) if q in subset else range(-w, w) for q in range(k)]
+    return list(itertools.product(*window))
+
+
+def _reference_differential_rows(k, w, p):
+    """The per-point builder the stride layout replaced: dicts keyed by
+    (subset, point) tuples give every row and column its index."""
+    subsets_p = [frozenset(s) for s in itertools.combinations(range(k), p)]
+    subsets_p1 = [frozenset(s) for s in itertools.combinations(range(k), p + 1)]
+    col_index = {}
+    for S in sorted(subsets_p, key=sorted):
+        for point in _reference_component_points(k, w, S):
+            col_index[(tuple(sorted(S)), point)] = len(col_index)
+    row_index = {}
+    for S in sorted(subsets_p1, key=sorted):
+        for point in _reference_component_points(k, w, S):
+            row_index[(tuple(sorted(S)), point)] = len(row_index)
+    rows = [dict() for _ in range(len(row_index))]
+    for S in subsets_p:
+        Skey = tuple(sorted(S))
+        for q in range(k):
+            if q in S:
+                continue
+            Tkey = tuple(sorted(S | {q}))
+            sign = (-1) ** sum(1 for s in S if s < q)
+            for point in _reference_component_points(k, w, S):
+                up = point[:q] + (point[q] + 1,) + point[q + 1 :]
+                r = row_index[(Tkey, up)]
+                c = col_index[(Skey, point)]
+                rows[r][c] = rows[r].get(c, 0) + sign
+                r = row_index[(Tkey, point)]
+                rows[r][c] = rows[r].get(c, 0) - sign
+    return rows
+
+
+def _reference_shift_difference_matrix(k, w, q):
+    qi = q - 1
+    dom = [range(-w, w + 1)] * k
+    dom[qi] = range(-w, w)
+    col_index = {point: i for i, point in enumerate(itertools.product(*dom))}
+    codomain = list(itertools.product(*([range(-w, w + 1)] * k)))
+    row_index = {point: i for i, point in enumerate(codomain)}
+    rows = [dict() for _ in range(len(codomain))]
+    for point, c in col_index.items():
+        up = point[:qi] + (point[qi] + 1,) + point[qi + 1 :]
+        rows[row_index[up]][c] = rows[row_index[up]].get(c, 0) + 1
+        rows[row_index[point]][c] = rows[row_index[point]].get(c, 0) - 1
+    return rows
+
+
+def _python_int_entries(rows):
+    return all(type(c) is int and type(v) is int for row in rows for c, v in row.items())
+
+
+@pytest.mark.parametrize("k,w", [(k, w) for k in (1, 2, 3) for w in range(k + 2, 7)])
+def test_row_builders_match_the_per_point_reference(k, w):
+    for p in range(k):
+        rows = _differential_rows(k, w, p)
+        assert rows == _reference_differential_rows(k, w, p)
+        assert _python_int_entries(rows)
+    for q in range(1, k + 1):
+        rows = shift_difference_matrix(k, w, q)
+        assert rows == _reference_shift_difference_matrix(k, w, q)
+        assert _python_int_entries(rows)
