@@ -363,7 +363,8 @@ class ConeForm:
     triangular Cholesky factor R (A = tR R), the minimiser ``c_star`` of the
     form on s + span(G), its minimum ``q_min`` and t_s = sqrt(ts Q s).
     enumerate_cone and theta.tail_bound read these at any radius.  A cone of
-    rank 0 has no factor.  While trunc(c*) != 0, the shift is moved by the
+    rank 0 has no factor.  A zero shift has c* = 0 and q_min = t_s = 0, with
+    nothing to solve.  While trunc(c*) != 0, the shift is moved by the
     lattice vector G trunc(c*) in exact rationals, so that a large integer
     part does not round away the low bits of float(s) + G c; the points stay
     the same.  Raises NonPositiveRestriction when Q is not positive definite
@@ -392,18 +393,25 @@ class ConeForm:
         if m:
             A = G.T @ Q @ G
             A = (A + A.T) / 2
-            eig = np.linalg.eigvalsh(A)
-            if float(eig[0]) <= _POS_EIG_TOL * max(1.0, float(np.max(np.abs(eig)))):
+            eig = np.linalg.eigvalsh(A).tolist()
+            if eig[0] <= _POS_EIG_TOL * max(1.0, max(map(abs, eig))):
                 raise NonPositiveRestriction("form is not positive definite on the cone span")
-            self.lam = float(eig[0])
+            self.lam = eig[0]
             self.R = np.linalg.cholesky(A).T
+        if not any(cone.shift):
+            # c* = 0 and q_min = t_s = 0: nothing to solve, nothing to move
+            self.shift, self.c_star, self.q_min, self.t_s = np.zeros(cone.n), np.zeros(m), 0.0, 0.0
+            return
         self._place(cone.shift_float(), A)
         # c* inherits the rounding error of float(s), so a huge shift needs
         # more than one move; each move shrinks c* by a factor near 2**-52
         moved, last = cone, math.inf
-        while m and np.all(np.isfinite(self.c_star)):
-            t = [int(c) for c in np.trunc(self.c_star)]
-            size = max(abs(x) for x in t)
+        while m:
+            c_star = self.c_star.tolist()
+            if not all(map(math.isfinite, c_star)):
+                break
+            t = [int(c) for c in c_star]  # truncated toward zero
+            size = max(map(abs, t))
             if size == 0 or size >= last:
                 break
             last = size
@@ -458,7 +466,8 @@ def enumerate_cone(form: ConeForm, radius: float) -> np.ndarray:
     from the form, tK Q K = q_min + sum_i (R (c - c*))_i**2.  Coefficients
     are fixed from the last to the first; at each level every partial
     vector gets the integer interval its remaining budget allows, all
-    partial vectors of a level in one batch.  The norm is then recomputed
+    partial vectors of a level in one batch (the last coefficient's single
+    interval in Python floats).  The norm is then recomputed
     from K (form_values) and compared with radius**2, so the kept set does
     not depend on the recursion's rounding.
     """
@@ -476,25 +485,33 @@ def _enumerate(form: ConeForm, radius: float) -> tuple[np.ndarray, np.ndarray]:
         return np.empty((0, n)), np.empty(0)
     R, c_star = form.R, form.c_star
     budget = max(r2 - form.q_min, 0.0) + _BUDGET_SLACK * max(1.0, r2)
-    coeffs = np.zeros((1, m))  # partial vectors; columns i+1.. are fixed
-    used = np.zeros(1)  # budget spent by the fixed coordinates
-    for i in range(m - 1, -1, -1):
+    # the last coefficient, alone on its level: one interval, in Python
+    # floats (the same IEEE operations as the batched levels below)
+    center, width = c_star[-1].item(), math.sqrt(budget) / R[-1, -1]
+    lo, hi = math.ceil(center - width), math.floor(center + width)
+    coeffs = np.zeros((max(hi - lo + 1, 0), m))  # partial vectors; the columns past a level are fixed
+    coeffs[:, -1] = np.arange(lo, hi + 1, dtype=float)
+    used = (R[-1, -1] * (coeffs[:, -1] - c_star[-1])) ** 2  # budget spent by the fixed coordinates
+    for i in range(m - 2, -1, -1):
         offset = (coeffs[:, i + 1:] - c_star[i + 1:]) @ R[i, i + 1:]
         center = c_star[i] - offset / R[i, i]
         width = np.sqrt(np.maximum(budget - used, 0.0)) / R[i, i]
         lo = np.ceil(center - width)
         counts = np.maximum(np.floor(center + width) - lo + 1, 0).astype(np.int64)
         parent = np.repeat(np.arange(len(counts)), counts)
-        step = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts, counts)
-        coeffs = coeffs[parent]
-        coeffs[:, i] = lo[parent] + step
-        used = used[parent] + (R[i, i] * (coeffs[:, i] - c_star[i]) + offset[parent]) ** 2
+        # the j-th child of a parent gets lo + j: lo less the children before it, plus its index
+        first = (lo - (np.cumsum(counts) - counts))[parent]
+        coeffs = coeffs.take(parent, axis=0)  # the rows of coeffs[parent], gathered faster
+        coeffs[:, i] = first + np.arange(len(parent))
+        if i:  # the first coefficient leaves no budget to track
+            used = used[parent] + (R[i, i] * (coeffs[:, i] - c_star[i]) + offset[parent]) ** 2
     K = s + coeffs @ form.G.T
     norm = form_values(K, form.Q)
     keep = norm <= r2
-    K, norm = K[keep], norm[keep]
+    if not keep.all():
+        K, norm = K[keep], norm[keep]
     order = np.lexsort(tuple(K[:, j] for j in range(n - 1, -1, -1)) + (norm,))
-    return K[order], norm[order]
+    return K.take(order, axis=0), norm[order]
 
 
 def wedge_cones(basis: SplitBasis) -> tuple[ConeSpec, ConeSpec]:

@@ -50,10 +50,17 @@ def as_real_symmetric(Q) -> np.ndarray:
 
 
 def check_symmetric(M) -> np.ndarray:
+    """M as a complex matrix, checked square, finite and symmetric up to
+    TOL_SYMMETRIC, and symmetrised as A/2 + tA/2 (halving first, so that no
+    finite entry overflows; above the subnormal range the same floats as
+    (A + tA)/2).  An exactly symmetric M comes back unchanged, as a new
+    array."""
     A = as_square_complex(M)
-    if A.shape[0] and np.max(np.abs(A - A.T)) > TOL_SYMMETRIC * max(1.0, np.max(np.abs(A))):
+    if (A == A.T).all():
+        return A.copy()
+    if np.max(np.abs(A - A.T)) > TOL_SYMMETRIC * max(1.0, np.max(np.abs(A))):
         raise ShapeMismatch("matrix is not symmetric")
-    return (A + A.T) / 2
+    return A / 2 + A.T / 2
 
 
 def signature(Q) -> tuple[int, int]:

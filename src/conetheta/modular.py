@@ -38,7 +38,7 @@ def omega_transform(g: ModularElement, omega) -> np.ndarray:
         raise SingularDenominator("(-tC omega + tA) is singular")
     num = g.D.T.astype(complex) @ omega - g.B.T.astype(complex)
     out = num @ np.linalg.inv(den)
-    return (out + out.T) / 2
+    return out / 2 + out.T / 2  # halved first, as in check_symmetric
 
 
 def round_trip_residual(g: ModularElement, omega, og) -> float:

@@ -6,23 +6,49 @@ are byte-identical across platforms and library versions.
 
 from __future__ import annotations
 
+import numpy as np
+
 _MASK = (1 << 64) - 1
 
 DEFAULT_SEED = 0x7E7A
 
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+
+#: outputs computed at the first refill; each refill doubles the block, up
+#: to _MAX_BLOCK, so a stream that needs a few draws computes few
+_FIRST_BLOCK = 32
+_MAX_BLOCK = 4096
+
 
 class SplitMix64:
-    """splitmix64 stream; each call advances the state by the golden gamma."""
+    """splitmix64 stream: output i (from 1) is mix(seed + i * gamma) mod 2**64.
+
+    The outputs do not depend on each other, so they are computed a block
+    at a time with numpy uint64 array arithmetic, which wraps mod 2**64
+    exactly as the scalar recurrence does (arrays only: numpy warns on a
+    scalar uint64 overflow)."""
 
     def __init__(self, seed: int):
-        self._state = seed & _MASK
+        self._seed = np.array([seed & _MASK], dtype=np.uint64)
+        self._drawn = 0  # outputs computed so far
+        self._size = _FIRST_BLOCK
+        self._block: list[int] = []  # computed outputs not yet drawn, last one next
+
+    def _refill(self) -> None:
+        i = np.arange(self._drawn + 1, self._drawn + 1 + self._size, dtype=np.uint64)
+        z = self._seed + i * _GAMMA
+        z = (z ^ (z >> np.uint64(30))) * _MIX1
+        z = (z ^ (z >> np.uint64(27))) * _MIX2
+        self._block = (z ^ (z >> np.uint64(31))).tolist()[::-1]
+        self._drawn += self._size
+        self._size = min(2 * self._size, _MAX_BLOCK)
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-        return z ^ (z >> 31)
+        if not self._block:
+            self._refill()
+        return self._block.pop()
 
     def next_float(self) -> float:
         # 53 high bits, uniform in [0, 1)

@@ -161,10 +161,11 @@ def _shell_count(form: ConeForm, t: float, weighted: bool) -> float:
     return count * c_max if weighted else count
 
 
-def tail_bound(form: ConeForm, Z, radius: float, weighted: bool = False) -> float:
+def tail_bound(form: ConeForm, Z, radius: float, weighted: bool = False, *, drift=None) -> float:
     """Upper bound for the sum of |Theta_K| over the points of the factored
     cone excluded by the radius, i.e. those with tK Q K > radius**2; with
     ``weighted``, each point K = s + G c counts |c_0| times (WedgeSum).
+    ``drift`` is _drift(form, Z), for a caller that already has it.
 
     Construction (all steps are inequalities, so the result is a true
     bound): write K = s + G c and t = sqrt(tK Q K).  With lam the smallest
@@ -178,17 +179,20 @@ def tail_bound(form: ConeForm, Z, radius: float, weighted: bool = False) -> floa
         |c_0| <= (T + t_s)/sqrt(lam).
 
     The tail is summed over unit shells [radius + j, radius + j + 1) with
-    the shell count evaluated at the outer edge; the series is cut once a
-    term ratio certifies geometric decay.  Requires radius >= beta + 1 (the
-    shell maximum must be decreasing); smaller radii return +inf.
+    the shell count evaluated at the outer edge.  The ratio of two shell
+    terms falls as t grows, so once a term is below half the one before,
+    every later term is smaller still.  The sum stops there as soon as that
+    term is also below a quarter of an ulp of the total: each later term
+    would round away when added, so the total is the one the whole series
+    gives, bit for bit.  Requires radius >= beta + 1 (the shell maximum
+    must be decreasing); smaller radii return +inf.
     """
     if form.rank == 0:
         return 0.0
-    alpha, beta = _drift(form, Z)
+    alpha, beta = _drift(form, Z) if drift is None else drift
     if radius < beta + 1.0:
         return math.inf
-    total = 0.0
-    prev_term = None
+    total, prev_term = 0.0, math.inf
     for j in range(0, 100000):
         t = radius + j
         log_term = (
@@ -199,10 +203,7 @@ def tail_bound(form: ConeForm, Z, radius: float, weighted: bool = False) -> floa
         )
         term = math.exp(log_term) if log_term < 700 else math.inf
         total += term
-        if term == 0.0:
-            break
-        if prev_term is not None and term < prev_term / 2 and term < 1e-300:
-            total += term  # geometric remainder, ratio <= 1/2
+        if term == 0.0 or (term < prev_term / 2 and term < math.ulp(total) / 4):
             break
         prev_term = term
     return total
@@ -217,10 +218,11 @@ def _on_grid(x: float) -> float:
     return math.ceil(x / _RADIUS_STEP) * _RADIUS_STEP
 
 
-def _first_shell_radius(form: ConeForm, Z, tol: float, max_radius: float, weighted) -> float:
+def _first_shell_radius(form: ConeForm, drift, tol: float, max_radius: float, weighted) -> float:
     """The smallest radius r >= beta + 1 on the grid whose first shell term
     of tail_bound, count(r) exp(2 pi alpha - pi r^2 + 2 pi beta r), is at
-    most tol; a value above max_radius once none up to it qualifies.
+    most tol, with (alpha, beta) = drift = _drift(form, Z); a value above
+    max_radius once none up to it qualifies.
 
     For a fixed count the condition is a quadratic in r, with root
     beta + sqrt(beta^2 + (log count + 2 pi alpha - log tol) / pi).  The count
@@ -229,7 +231,7 @@ def _first_shell_radius(form: ConeForm, Z, tol: float, max_radius: float, weight
     radius.  The full bound is at least its first shell, so no radius on the
     grid below the result makes tail_bound <= tol.
     """
-    alpha, beta = _drift(form, Z)
+    alpha, beta = drift
     r = _on_grid(beta + 1.0)
     while r <= max_radius:
         excess = math.log(_shell_count(form, r, weighted)) + 2.0 * math.pi * alpha - math.log(tol)
@@ -243,12 +245,14 @@ def _first_shell_radius(form: ConeForm, Z, tol: float, max_radius: float, weight
 def _solve_radius(forms, Z, tol: float, max_radius: float, weighted) -> tuple[float, float]:
     """(radius, bound): the first grid radius, from the largest
     _first_shell_radius of the forms up, at which their summed tail_bound is
-    at most tol, and that sum.  RadiusOverflow past max_radius."""
-    radius = max(_first_shell_radius(f, Z, tol, max_radius, weighted) for f in forms)
+    at most tol, and that sum.  Each form's drift at Z is computed once.
+    RadiusOverflow past max_radius."""
+    drifts = [_drift(f, Z) for f in forms]
+    radius = max(_first_shell_radius(f, d, tol, max_radius, weighted) for f, d in zip(forms, drifts))
     while True:
         if radius > max_radius:
             raise RadiusOverflow("radius %g exceeded without reaching tol %g" % (max_radius, tol))
-        bound = sum(tail_bound(f, Z, radius, weighted) for f in forms)
+        bound = sum(tail_bound(f, Z, radius, weighted, drift=d) for f, d in zip(forms, drifts))
         if bound <= tol:
             return radius, bound
         radius += _RADIUS_STEP

@@ -267,6 +267,23 @@ def test_eval_cone_shift_with_large_integer_part(tmp_path, capsys, shift, small,
     assert abs(out["value"]["re"] - exact) <= out["tail"] + 1e-15
 
 
+@pytest.mark.parametrize("off", [0.0, 1e-3], ids=["symmetric", "nearly-symmetric"])
+def test_eval_huge_finite_omega_entry(tmp_path, capsys, off):
+    # Re omega_11 = 1e308 is finite, and symmetrising must not overflow it
+    # (an asymmetry of 1e-3 is within the tolerance relative to it); the
+    # cone e2 reads only omega_22, so the output is that of Re = 0
+    def run(re11, re12):
+        omega = [[complex(re11, -1), re12], [0, 1j]]
+        cone = {"generators": [[0, 1]], "shift": ["0", "0"]}
+        payload = {"n": 2, "k": 1, "omega": cm(omega), "cone": cone}
+        assert main(["eval", "--instance", write(tmp_path, "i.json", payload)]) == 0
+        return capsys.readouterr().out
+
+    out = run(1e308, off)
+    assert out == run(0.0, 0.0)
+    assert json.loads(out)["value"] == {"re": 1.0864348112122568, "im": 0.0}
+
+
 def test_eval_characteristic(tmp_path, capsys):
     payload = {
         "n": 1,

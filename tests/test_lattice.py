@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conetheta import lattice
 from conetheta.cli import main
@@ -566,6 +566,140 @@ def test_enumerate_cone_matches_box_filter(case):
     cone, Q, radius = case
     got = [tuple(k) for k in enumerate_cone(ConeForm(cone, Q), radius)]
     assert got == _box_filter_cone(cone, Q, radius)
+
+
+def test_enumerate_drops_points_within_the_budget_slack():
+    # the widened budget visits +-2 (norm 4), and the norm test drops them
+    form = ConeForm(ConeSpec(np.array([[1]]), (0,)), np.array([[1.0]]))
+    K, norms = lattice._enumerate(form, math.sqrt(4.0 - 1e-12))
+    assert K.ravel().tolist() == [0.0, -1.0, 1.0] and norms.tolist() == [0.0, 1.0, 1.0]
+
+
+def _reference_placement(cone, Q):
+    """ConeForm's (shift, c*, q_min, t_s) by the general placement for every
+    shift, zero included, with the move loop on numpy values: the reference
+    for ConeForm's zero-shift shortcut and its Python-float loop."""
+    G, m = cone.generators.astype(float), cone.rank
+    A = G.T @ Q @ G
+    A = (A + A.T) / 2
+
+    def place(s):
+        sQs = float(s @ Q @ s)
+        c_star, q_min = None, sQs
+        if m:
+            b = G.T @ Q @ s
+            c_star = np.linalg.solve(A, -b)
+            q_min = float(sQs + b @ c_star)
+        return s, c_star, q_min, math.sqrt(max(sQs, 0.0)) if np.any(s) else 0.0
+
+    placed = place(cone.shift_float())
+    moved, last = cone, math.inf
+    while m and np.all(np.isfinite(placed[1])):
+        t = [int(c) for c in np.trunc(placed[1])]
+        size = max(abs(x) for x in t)
+        if size == 0 or size >= last:
+            break
+        last = size
+        moved = moved.with_extra_shift(lattice.exact(cone.generators) @ np.array(t, dtype=object))
+        placed = place(moved.shift_float())
+    return placed
+
+
+def _reference_enumerate(form, radius, c_star, q_min):
+    """lattice._enumerate with every level batched in numpy, one np.repeat
+    more per level and the keep gathers always made, on the reference
+    placement's c* and q_min."""
+    s, m, n = form.shift, form.rank, len(form.shift)
+    r2 = radius**2
+    if r2 < q_min - 1e-12:
+        return np.empty((0, n)), np.empty(0)
+    R = form.R
+    budget = max(r2 - q_min, 0.0) + lattice._BUDGET_SLACK * max(1.0, r2)
+    coeffs = np.zeros((1, m))
+    used = np.zeros(1)
+    for i in range(m - 1, -1, -1):
+        offset = (coeffs[:, i + 1:] - c_star[i + 1:]) @ R[i, i + 1:]
+        center = c_star[i] - offset / R[i, i]
+        width = np.sqrt(np.maximum(budget - used, 0.0)) / R[i, i]
+        lo = np.ceil(center - width)
+        counts = np.maximum(np.floor(center + width) - lo + 1, 0).astype(np.int64)
+        parent = np.repeat(np.arange(len(counts)), counts)
+        step = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts, counts)
+        coeffs = coeffs[parent]
+        coeffs[:, i] = lo[parent] + step
+        used = used[parent] + (R[i, i] * (coeffs[:, i] - c_star[i]) + offset[parent]) ** 2
+    K = s + coeffs @ form.G.T
+    norm = form_values(K, form.Q)
+    keep = norm <= r2
+    K, norm = K[keep], norm[keep]
+    order = np.lexsort(tuple(K[:, j] for j in range(n - 1, -1, -1)) + (norm,))
+    return K[order], norm[order]
+
+
+@st.composite
+def _placement_cases(draw):
+    """A cone of rank 1..6 (columns of a unimodular U) and a form that is
+    positive on its span and may be indefinite off it, so that ts Q s can be
+    <= 0; the shift is zero, a characteristic-like fraction, or that plus
+    a huge lattice vector of the cone (which ConeForm moves away) or a part
+    off the span, up to 10**6 times a lattice vector."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, n))
+    U = _unimodular(draw, n, 6, 1)
+    entries = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+    B = np.array(draw(st.lists(entries, min_size=m * m, max_size=m * m))).reshape(m, m)
+    D = np.diag(np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))))
+    D[:m, :m] = B.T @ B + draw(st.floats(0.3, 2.0)) * np.eye(m)
+    Uinv = unimodular_inverse(U).astype(float)
+    Q = Uinv.T @ D @ Uinv
+    Q = (Q + Q.T) / 2
+    kind = draw(st.sampled_from(["zero", "fraction", "huge", "off-span"]))
+    shift = [Fraction(0)] * n
+    if kind != "zero":
+        fractions = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 6))
+        shift = draw(st.lists(fractions, min_size=n, max_size=n))
+    if kind == "huge":
+        big = draw(st.lists(st.integers(-(10**30), 10**30), min_size=m, max_size=m))
+        shift = [a + b for a, b in zip(shift, U[:, :m].astype(object) @ np.array(big, dtype=object))]
+    if kind == "off-span" and m < n:
+        scale = draw(st.sampled_from([1, 3, 10**6]))
+        shift = [a + scale * int(b) for a, b in zip(shift, U[:, -1])]
+    radius = draw(st.floats(0.5, 2.0 + 2.0 / m))
+    return ConeSpec(U[:, :m], tuple(shift)), Q, radius
+
+
+@settings(max_examples=200, deadline=None)
+@given(_placement_cases())
+def test_cone_form_placement_matches_reference(case):
+    cone, Q, _ = case
+    s, c_star, q_min, t_s = _reference_placement(cone, Q)
+    if not (math.isfinite(q_min) and math.isfinite(t_s)):
+        with pytest.raises(ValidationError):
+            ConeForm(cone, Q)
+        return
+    form = ConeForm(cone, Q)
+    # == and array_equal count +0.0 and -0.0 as equal
+    assert form.shift.tobytes() == s.tobytes()
+    assert np.array_equal(form.c_star, c_star) and form.q_min == q_min and form.t_s == t_s
+
+
+@settings(max_examples=200, deadline=None)
+@given(_placement_cases())
+def test_enumerate_matches_reference_level_loop(case):
+    cone, Q, radius = case
+    _, c_star, q_min, _ = _reference_placement(cone, Q)
+    assume(math.isfinite(q_min))
+    form = ConeForm(cone, Q)
+    # a form negative off the span can make q_min very negative and the
+    # ellipsoid huge: bound the coefficient box before enumerating
+    budget = max(radius**2 - q_min, 0.0) + 1.0
+    G = cone.generators.astype(float)
+    half = np.sqrt(budget * np.diag(np.linalg.inv(G.T @ Q @ G)))
+    assume(np.prod(2 * half + 1) <= 50_000)
+    K, norms = lattice._enumerate(form, radius)
+    ref_K, ref_norms = _reference_enumerate(form, radius, c_star, q_min)
+    assert K.shape == ref_K.shape
+    assert K.tobytes() == ref_K.tobytes() and norms.tobytes() == ref_norms.tobytes()
 
 
 def _wedge_forms(basis, Q):

@@ -139,6 +139,85 @@ def test_tail_bound_monotone():
     assert b6 <= b5
 
 
+def _reference_tail_bound(form, Z, radius, weighted=False):
+    """tail_bound walking the shells until a term is 0 or below 1e-300 (and
+    then adding it once more as the geometric remainder)."""
+    if form.rank == 0:
+        return 0.0
+    alpha, beta = theta._drift(form, Z)
+    if radius < beta + 1.0:
+        return math.inf
+    total, prev_term = 0.0, None
+    for j in range(100000):
+        t = radius + j
+        log_term = (
+            math.log(theta._shell_count(form, t, weighted))
+            + 2.0 * math.pi * alpha
+            - math.pi * t * t
+            + 2.0 * math.pi * beta * t
+        )
+        term = math.exp(log_term) if log_term < 700 else math.inf
+        total += term
+        if term == 0.0:
+            break
+        if prev_term is not None and term < prev_term / 2 and term < 1e-300:
+            total += term
+            break
+        prev_term = term
+    return total
+
+
+@st.composite
+def _tail_cases(draw):
+    """A cone of rank 1..6 with a shift, a form whose smallest eigenvalue on
+    the cone reaches 1e-4, a Z whose imaginary part reaches 3 (alpha and
+    beta large), and radii from just below beta + 1 to where the total is
+    below 1e-280, subnormal or 0."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, n))
+    entries = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+    B = np.array(draw(st.lists(entries, min_size=n * n, max_size=n * n))).reshape(n, n)
+    Q = B.T @ B + 10.0 ** draw(st.floats(-4.0, 0.5)) * np.eye(n)
+    Q = (Q + Q.T) / 2
+    fractions = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 6))
+    shift = tuple(draw(st.lists(fractions, min_size=n, max_size=n)))
+    cone = ConeSpec(np.eye(n, dtype=np.int64)[:, :m], shift)
+    y = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))
+    Z = np.array(draw(st.lists(st.floats(-0.5, 0.5), min_size=n, max_size=n))) + 1j * y
+    form = ConeForm(cone, Q)
+    alpha, beta = theta._drift(form, Z)
+    near = st.floats(-0.5, 20.0).map(lambda x: beta + 1.0 + x)
+    # first shell terms near the bottom of the double range, where the
+    # reference walk stops at a term below 1e-300 and adds the remainder
+    deep = st.floats(640.0, 745.0).map(
+        lambda e: beta + math.sqrt(beta * beta + (e + 2.0 * math.pi * alpha) / math.pi)
+    )
+    return form, Z, draw(st.lists(st.one_of(near, deep), min_size=1, max_size=4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tail_cases(), st.booleans())
+def test_tail_bound_matches_full_shell_walk(case, weighted):
+    # the quarter-ulp cut stops early but returns the same float
+    form, Z, radii = case
+    drift = theta._drift(form, Z)
+    for radius in radii:
+        want = _reference_tail_bound(form, Z, radius, weighted)
+        assert tail_bound(form, Z, radius, weighted) == want
+        assert tail_bound(form, Z, radius, weighted, drift=drift) == want
+
+
+def test_tail_bound_stops_after_few_shells(monkeypatch):
+    # the reference walks 13 shells here, to a term below 1e-300
+    form = ConeForm(FULL1, OM1.imag)
+    want = _reference_tail_bound(form, Z0, 3.0)
+    shells = []
+    count = theta._shell_count
+    monkeypatch.setattr(theta, "_shell_count", lambda *a: shells.append(a[1]) or count(*a))
+    assert tail_bound(form, Z0, 3.0) == want > 0
+    assert shells == [3.0, 4.0, 5.0]
+
+
 def test_cone_sum_factors_the_cone_once(monkeypatch):
     # one eigvalsh and one Cholesky per sum, and the cone, validated when
     # it was built, is not validated again (also not by with_extra_shift)
@@ -562,8 +641,16 @@ def test_radius_search_is_smallest_certifying_radius(case):
 
 
 def _same_rows(family, omega, Zs):
-    """A bound stack of Z gives, row by row, what a one-Z call gives."""
-    rows = family.bind(omega).stack(Zs)
+    """A bound stack of Z gives, row by row, what a one-Z call gives; a stack
+    with a row past the radius cap raises as that row alone does (a lattice
+    shift omega N can move Im Z far enough on a cone with a small lam)."""
+    try:
+        rows = family.bind(omega).stack(Zs)
+    except RadiusOverflow:
+        with pytest.raises(RadiusOverflow):
+            for Z in Zs:
+                family.value_tail(omega, Z)
+        return
     assert len(rows) == len(Zs)
     for Z, (value, tail) in zip(Zs, rows):
         want_value, want_tail = family.value_tail(omega, Z)
@@ -666,7 +753,10 @@ def test_rebind_matches_a_fresh_bind(case, data):
 @given(st.floats(-0.5, 0.5), st.floats(0.7, 1.5), st.sampled_from([1e-4, -2e-3]), _z_stacks(1))
 def test_rebind_binds_anew_when_im_omega_moves(re, im, eps, Zs):
     # with C != 0, Im(omega^g) depends on Re(omega): the inversion sends
-    # omega to -1/omega, whose imaginary part moves with a real step
+    # omega to -1/omega, whose imaginary part moves with a real step;
+    # Im(-1/omega) = im / (re^2 + im^2) is even in re, so it stays put (up
+    # to rounding) when the step takes re to about -re
+    assume(abs(2 * re + eps) > 1e-6)
     inversion = ModularElement([[0]], [[-1]], [[1]], [[0]])
     family = ModularImage(ConeSum(FULL1, 1e-12), inversion, 1.0)
     omega = np.array([[complex(re, im)]])
