@@ -4,19 +4,21 @@ commits can be compared for bit-identical results.
     python3 scripts/outputs_digest.py --seeds 0 1 2 3 4 5 6 7
     python3 scripts/outputs_digest.py --root OTHER_CHECKOUT --seeds 1 --scale-n 6
 
-Each line is ``workload seed digest ops``.  The digest runs over every op
-of the seed's op list (both passes), in order:
+Each line is ``workload seed digest ops``.  Both ``cone-eval`` and
+``verify-all`` are digested for every seed, over every op of the seed's op
+list (both passes), in order, each op run by the workload's own ``prepare``
+and ``execute``:
 
-* ``cone-eval``: the op's (value, tail, radius), as the hex of each float,
-  from ``ConeSum(cone, TOL_SUM).evaluate`` on the cone the op sums (shifted
-  by its characteristic, as ``theta_char`` does);
+* ``cone-eval``: the op's (value, tail, radius), as the hex of each float;
+  the radius is read off the ``ConeSum.evaluate`` call that ``execute``
+  makes (directly, or through ``theta_char``);
 * ``verify-all``: the suite's report as canonical JSON
-  (``serialize.dumps_canonical``), or the message of the ValidationError
-  with which the suite declines its instance.
+  (``serialize.dumps_canonical``), or ``skipped`` where the suite declines
+  its instance.
 
-An op that raises anything else contributes its exception's type and
-message.  With ``--scale-n N`` a further line digests every suite's report
-on the ROADMAP's scale instance at that ``n``.
+An op that raises contributes its exception's type and message.  With
+``--scale-n N`` a further line digests every suite's report on the
+ROADMAP's scale instance at that ``n``.
 
 The op lists come from ``perfbench.workloads``, which is only read.  Both
 it and ``conetheta`` are imported from ``--root`` (default: this checkout).
@@ -45,25 +47,37 @@ def load(root: Path) -> tuple[SimpleNamespace, object]:
     return kernel, importlib.import_module("perfbench.workloads")
 
 
-def cone_output(kernel, workloads, op: dict) -> str:
-    inst, Z = workloads.ConeEval().prepare(kernel, op)
-    cone = inst.cone
-    if inst.characteristic is not None:
-        cone = cone.with_extra_shift(inst.characteristic.a)
-    value, tail, radius = kernel.theta.ConeSum(cone, workloads.TOL_SUM).evaluate(inst.omega, Z)
+def cone_output(kernel, workload, op: dict) -> str:
+    radii = []
+    evaluate = kernel.theta.ConeSum.evaluate
+
+    def recording(self, omega, Z):
+        row = evaluate(self, omega, Z)
+        radii.append(row[2])
+        return row
+
+    kernel.theta.ConeSum.evaluate = recording
+    try:
+        value, tail = workload.execute(kernel, workload.prepare(kernel, op))
+    finally:
+        kernel.theta.ConeSum.evaluate = evaluate
+    (radius,) = radii
     return " ".join(float(x).hex() for x in (value.real, value.imag, tail, radius))
 
 
-def report_output(kernel, inst, suite: str) -> str:
-    try:
-        report = kernel.cli.SUITES[suite](inst)
-    except kernel.errors.ValidationError as exc:
-        return "declined: %s" % exc
+def verify_output(kernel, workload, op: dict) -> str:
+    report = workload.execute(kernel, workload.prepare(kernel, op))
+    if isinstance(report, str):  # the workload's SKIPPED
+        return report
     return kernel.serialize.dumps_canonical(report.to_json())
 
 
-def verify_output(kernel, workloads, op: dict) -> str:
-    return report_output(kernel, kernel.serialize.parse_instance(op["payload"]), op["suite"])
+def scale_output(kernel, inst, suite: str) -> str:
+    try:
+        report = kernel.cli.SUITES[suite](inst)
+    except kernel.errors.ValidationError:
+        return "skipped"
+    return kernel.serialize.dumps_canonical(report.to_json())
 
 
 def scale_payload(n: int) -> dict:
@@ -110,25 +124,17 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--root", type=Path, default=ROOT, help="checkout to import from")
     parser.add_argument("--seeds", type=int, nargs="+", default=[1])
-    parser.add_argument(
-        "--workload", nargs="+", choices=("cone-eval", "verify-all"), default=["cone-eval", "verify-all"]
-    )
     parser.add_argument("--scale-n", type=int, default=None, help="also digest the scale instance at this n (>= 2)")
     args = parser.parse_args(argv)
     kernel, workloads = load(args.root.resolve())
-    runners = {
-        "cone-eval": (workloads.ConeEval(), cone_output),
-        "verify-all": (workloads.VerifyAll(), verify_output),
-    }
-    for name in args.workload:
-        workload, output = runners[name]
+    for workload, output in ((workloads.ConeEval(), cone_output), (workloads.VerifyAll(), verify_output)):
         for seed in args.seeds:
             ops = [op for ops in workload.generate(seed, workload.passes, kernel) for op in ops]
-            sha, count = digest(guarded(output, kernel, workloads, op) for op in ops)
-            print("%s %d %s %d" % (name, seed, sha, count), flush=True)
+            sha, count = digest(guarded(output, kernel, workload, op) for op in ops)
+            print("%s %d %s %d" % (workload.name, seed, sha, count), flush=True)
     if args.scale_n is not None:
         inst = kernel.serialize.parse_instance(scale_payload(args.scale_n))
-        sha, count = digest(guarded(report_output, kernel, inst, s) for s in kernel.cli.SUITES)
+        sha, count = digest(guarded(scale_output, kernel, inst, s) for s in kernel.cli.SUITES)
         print("scale-n%d - %s %d" % (args.scale_n, sha, count), flush=True)
     return 0
 

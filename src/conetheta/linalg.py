@@ -53,10 +53,11 @@ def check_symmetric(M) -> np.ndarray:
     """M as a complex matrix, checked square, finite and symmetric up to
     TOL_SYMMETRIC, and symmetrised as A/2 + tA/2 (halving first, so that no
     finite entry overflows; above the subnormal range the same floats as
-    (A + tA)/2).  An exactly symmetric M comes back unchanged, as a new
-    array."""
+    (A + tA)/2).  A bitwise symmetric M comes back unchanged, as a new
+    array (an entry whose mirror differs only in the sign of a zero is
+    symmetrised, to +0.0)."""
     A = as_square_complex(M)
-    if (A == A.T).all():
+    if A.tobytes() == A.T.tobytes():
         return A.copy()
     if np.max(np.abs(A - A.T)) > TOL_SYMMETRIC * max(1.0, np.max(np.abs(A))):
         raise ShapeMismatch("matrix is not symmetric")

@@ -16,34 +16,30 @@ _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
-#: outputs computed at the first refill; each refill doubles the block, up
-#: to _MAX_BLOCK, so a stream that needs a few draws computes few
-_FIRST_BLOCK = 32
-_MAX_BLOCK = 4096
+#: outputs computed per refill (a suite's stream draws up to 30, or about
+#: 2,000 in the reduced and Koszul suites)
+_BLOCK = 256
+_STEPS = np.arange(1, _BLOCK + 1, dtype=np.uint64) * _GAMMA
 
 
 class SplitMix64:
     """splitmix64 stream: output i (from 1) is mix(seed + i * gamma) mod 2**64.
 
-    The outputs do not depend on each other, so they are computed a block
-    at a time with numpy uint64 array arithmetic, which wraps mod 2**64
-    exactly as the scalar recurrence does (arrays only: numpy warns on a
-    scalar uint64 overflow)."""
+    The outputs do not depend on each other, so they are computed _BLOCK at
+    a time with numpy uint64 array arithmetic, which wraps mod 2**64 exactly
+    as the scalar recurrence does (arrays only: numpy warns on a scalar
+    uint64 overflow)."""
 
     def __init__(self, seed: int):
-        self._seed = np.array([seed & _MASK], dtype=np.uint64)
-        self._drawn = 0  # outputs computed so far
-        self._size = _FIRST_BLOCK
+        self._state = np.array([seed & _MASK], dtype=np.uint64)  # seed + (outputs computed) * gamma
         self._block: list[int] = []  # computed outputs not yet drawn, last one next
 
     def _refill(self) -> None:
-        i = np.arange(self._drawn + 1, self._drawn + 1 + self._size, dtype=np.uint64)
-        z = self._seed + i * _GAMMA
+        z = self._state + _STEPS
+        self._state = z[-1:]
         z = (z ^ (z >> np.uint64(30))) * _MIX1
         z = (z ^ (z >> np.uint64(27))) * _MIX2
         self._block = (z ^ (z >> np.uint64(31))).tolist()[::-1]
-        self._drawn += self._size
-        self._size = min(2 * self._size, _MAX_BLOCK)
 
     def next_u64(self) -> int:
         if not self._block:

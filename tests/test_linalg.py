@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conetheta.errors import DegenerateForm, ShapeMismatch, SingularMatrix
-from conetheta.linalg import principal_sqrt_det, signature
+from conetheta.linalg import check_symmetric, principal_sqrt_det, signature
 
 
 def test_signature_diagonal():
@@ -77,3 +77,21 @@ def test_shape_checks():
         signature(np.zeros((2, 3)))
     with pytest.raises(SingularMatrix):
         principal_sqrt_det(np.zeros((2, 2)))
+
+
+def test_check_symmetric_returns_a_symmetric_matrix_unchanged():
+    M = np.array([[1 + 2j, -0.0 + 0.5j], [-0.0 + 0.5j, 3.0 - 0.0j]])
+    A = check_symmetric(M)
+    assert A is not M and A.tobytes() == M.tobytes()
+
+
+@pytest.mark.parametrize("part", ["real", "imag"])
+def test_check_symmetric_mirrors_a_signed_zero(part):
+    # entries (0, 1) and (1, 0) differ only in the sign of a zero: equal as
+    # numbers, not as bits, so the matrix is symmetrised, as (A + tA)/2
+    # would, to +0.0 in both places
+    M = np.array([[1j, 0.3 + 0.4j], [0.3 + 0.4j, 2j]])
+    getattr(M, part)[0, 1], getattr(M, part)[1, 0] = 0.0, -0.0
+    A = check_symmetric(M)
+    assert A.tobytes() == A.T.tobytes() == ((M + M.T) / 2).tobytes()
+    assert not np.signbit(getattr(A, part)[1, 0])

@@ -20,7 +20,7 @@ def _scalar_splitmix64(seed, count):
 
 @pytest.mark.parametrize("seed", [0, 1, rng.DEFAULT_SEED, 987654321, -5, 2**63 + 12345, _MASK])
 def test_blocks_match_the_scalar_recurrence(seed):
-    # 10,000 draws cross the growing blocks (32, 64, .., 4096) and wrap the
+    # 10,000 draws cross 39 block boundaries and wrap the
     # state past 2**64; numpy overflow warnings would fail the test
     stream = SplitMix64(seed)
     assert [stream.next_u64() for _ in range(10_000)] == _scalar_splitmix64(seed, 10_000)
