@@ -4,17 +4,19 @@ commits can be compared for bit-identical results.
     python3 scripts/outputs_digest.py --seeds 0 1 2 3 4 5 6 7
     python3 scripts/outputs_digest.py --root OTHER_CHECKOUT --seeds 1 --scale-n 6
 
-Each line is ``workload seed digest ops``.  Both ``cone-eval`` and
-``verify-all`` are digested for every seed, over every op of the seed's op
-list (both passes), in order, each op run by the workload's own ``prepare``
-and ``execute``:
+Each line is ``workload seed digest ops``.  ``cone-eval``, ``verify-all``
+and ``split-basis`` are digested for every seed, over every op of the seed's
+op list (both passes), in order, each op run by the workload's own
+``prepare`` and ``execute``:
 
 * ``cone-eval``: the op's (value, tail, radius), as the hex of each float;
   the radius is read off the ``ConeSum.evaluate`` call that ``execute``
   makes (directly, or through ``theta_char``);
 * ``verify-all``: the suite's report as canonical JSON
   (``serialize.dumps_canonical``), or ``skipped`` where the suite declines
-  its instance.
+  its instance;
+* ``split-basis``: the found basis's ``N``, ``M`` and ``k`` as JSON, or
+  ``not-found``.
 
 An op that raises contributes its exception's type and message.  With
 ``--scale-n N`` a further line digests every suite's report on the
@@ -29,6 +31,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import importlib
+import json
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -39,7 +42,7 @@ ROOT = Path(__file__).resolve().parent.parent
 def load(root: Path) -> tuple[SimpleNamespace, object]:
     """(kernel, perfbench.workloads) imported from the checkout at root."""
     sys.path[:0] = [str(root / "src"), str(root)]
-    names = ("errors", "serialize", "theta", "cli")
+    names = ("errors", "lattice", "serialize", "theta", "cli")
     kernel = SimpleNamespace(**{n: importlib.import_module("conetheta." + n) for n in names})
     origin = Path(kernel.theta.__file__).resolve().parent
     if origin != (root / "src" / "conetheta").resolve():
@@ -70,6 +73,13 @@ def verify_output(kernel, workload, op: dict) -> str:
     if isinstance(report, str):  # the workload's SKIPPED
         return report
     return kernel.serialize.dumps_canonical(report.to_json())
+
+
+def split_output(kernel, workload, op: dict) -> str:
+    basis = workload.execute(kernel, workload.prepare(kernel, op))
+    if isinstance(basis, str):  # the workload's NOT_FOUND
+        return basis
+    return json.dumps({"N": basis.N.tolist(), "M": basis.M.tolist(), "k": basis.k})
 
 
 def scale_output(kernel, inst, suite: str) -> str:
@@ -127,7 +137,12 @@ def main(argv=None) -> int:
     parser.add_argument("--scale-n", type=int, default=None, help="also digest the scale instance at this n (>= 2)")
     args = parser.parse_args(argv)
     kernel, workloads = load(args.root.resolve())
-    for workload, output in ((workloads.ConeEval(), cone_output), (workloads.VerifyAll(), verify_output)):
+    digested = (
+        (workloads.ConeEval(), cone_output),
+        (workloads.VerifyAll(), verify_output),
+        (workloads.SplitBasisWorkload(), split_output),
+    )
+    for workload, output in digested:
         for seed in args.seeds:
             ops = [op for ops in workload.generate(seed, workload.passes, kernel) for op in ops]
             sha, count = digest(guarded(output, kernel, workload, op) for op in ops)

@@ -57,7 +57,6 @@ from .lattice import (
     find_split_basis,
     is_gamma12,
     transform_basis,
-    wedge_cones,
 )
 from .linalg import principal_sqrt_det, signature
 from .modular import (
@@ -87,6 +86,7 @@ from .serialize import (
     theta_value_to_json,
 )
 from .theta import (
+    BoundConeSum,
     ConeSum,
     ThetaValue,
     lambda_action,
@@ -310,7 +310,10 @@ def suite_wedge(inst: ProblemInstance) -> VerificationReport:
     tol = inst.tol("identity", TOL_IDENTITY)
     basis, cone = _positive_cone(inst)
     f = wedge_function(basis, inst.omega, tol=1e-12)
-    e_plain, e_trans = (ConeSum(c, 1e-12).bind(inst.omega) for c in wedge_cones(basis))
+    # the cone sums over the wedge's own forms, so each cone is factored once
+    e_plain, e_trans = (
+        BoundConeSum(ConeSum(cone, 1e-12), f.omega, form) for cone, form in zip(f.family.cones, f.forms)
+    )
     shear = tuple(int(x) for x in basis.N[:, basis.k - 1])
     after = tuple(int(x) for x in basis.N[:, basis.k])
     samples = sample_points(inst.n, 5, inst.seed)

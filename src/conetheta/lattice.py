@@ -304,9 +304,10 @@ def find_split_basis(Q, k: int, bound: int = 3) -> SplitBasis:
         raise SignatureMismatch("signature(Q) != (%d, %d)" % (k, n - k))
     if bound < 1:
         raise NotFound("empty search space (bound < 1)")
-    reference = SplitBasis.identity(n, k)
-    if is_split_basis(reference, Q, k):
-        return reference
+    # is_split_basis for the reference basis, with the signature checked above
+    eye = np.eye(n, dtype=np.int64)
+    if _is_positive_on(-Q, eye[:, :k]) and _is_positive_on(Q, eye[:, k:]):
+        return SplitBasis.identity(n, k)
     if (2 * bound + 1) ** n > MAX_SPLIT_WINDOW:
         raise ValidationError(
             "bound %d: the search window (2*bound+1)**%d exceeds %d vectors"
@@ -343,7 +344,7 @@ def form_values(K: np.ndarray, Q: np.ndarray) -> np.ndarray:
 
     Elementwise operations in a fixed order, so each row's value is rounded
     the same way whatever the other rows are: a point keeps its norm, and
-    its place in the enumeration order, when the radius grows.
+    so its place in the enumeration order, when the radius grows.
     """
     KQ = K[:, :1] * Q[0]
     for i in range(1, K.shape[1]):
@@ -436,7 +437,8 @@ class ConeForm:
     def points(self, radius: float) -> tuple[np.ndarray, np.ndarray]:
         """(points, norms) of enumerate_cone at this radius, for a cone of
         rank >= 1.  The points of the largest enumeration come sorted by
-        norm, so those of a smaller radius r are its prefix with
+        norm, ties in the enumeration's own order, which does not depend on
+        the radius; so those of a smaller radius r are its prefix with
         tK Q K <= r**2: the same floats in the same order as an enumeration
         at r.  A larger radius drops the kept enumeration and then
         enumerates once."""
@@ -460,7 +462,10 @@ _BUDGET_SLACK = 1e-9
 def enumerate_cone(form: ConeForm, radius: float) -> np.ndarray:
     """All points K = shift + sum c_i gen_i of the factored cone with
     tK Q K <= radius**2, as the rows of a (points, n) array sorted by
-    (tK Q K, lexicographic coordinates).  A cone of rank 0 gives its shift.
+    tK Q K.  Points of equal norm keep the order the enumeration makes them
+    in, lexicographic in (c_m, .., c_1), the same at every radius; no sum
+    reads it, as complex_fsum does not depend on the order of the terms.
+    A cone of rank 0 gives its shift.
 
     Fincke-Pohst enumeration (Math. Comp. 44, 1985): with A = tR R and c*
     from the form, tK Q K = q_min + sum_i (R (c - c*))_i**2.  Coefficients
@@ -478,7 +483,8 @@ def enumerate_cone(form: ConeForm, radius: float) -> np.ndarray:
 
 def _enumerate(form: ConeForm, radius: float) -> tuple[np.ndarray, np.ndarray]:
     """enumerate_cone for a cone of rank >= 1, with the norms tK Q K of its
-    points (form_values, in the same order)."""
+    points (form_values, in the same order).  A stable sort of the norms
+    alone orders them: the prefix property needs nothing more."""
     s, m, n = form.shift, form.rank, len(form.shift)
     r2 = radius**2
     if r2 < form.q_min - 1e-12:
@@ -510,7 +516,7 @@ def _enumerate(form: ConeForm, radius: float) -> tuple[np.ndarray, np.ndarray]:
     keep = norm <= r2
     if not keep.all():
         K, norm = K[keep], norm[keep]
-    order = np.lexsort(tuple(K[:, j] for j in range(n - 1, -1, -1)) + (norm,))
+    order = np.argsort(norm, kind="stable")
     return K.take(order, axis=0), norm[order]
 
 

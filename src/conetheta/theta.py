@@ -22,6 +22,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -63,7 +64,38 @@ def complex_fsum(values) -> complex:
             return total
     except (OverflowError, ValueError):  # intermediate overflow, inf - inf
         pass
-    raise ValidationError("a term or the sum is beyond the double range")
+    raise _beyond_range()
+
+
+def _beyond_range() -> ValidationError:
+    return ValidationError("a term or the sum is beyond the double range")
+
+
+def _peak_beyond_range(form: ConeForm, rows) -> bool:
+    """True when the sum over a form with q_min < 0 (so never empty) of some
+    row (Z, radius, tail) would have a term that is not finite: the term at
+    K0 = s + G round(c*), formed as _enumerate forms its points, which the
+    enumeration keeps when its norm q0 = form_values(K0) is <= radius**2
+    (its own test on the same float).  That term has modulus e^x,
+    x = -pi (q0 + 2 tK0 y) with y = Im Z, and at least one of its parts is
+    at least e^x / sqrt(2).  So it overflows when x is past
+    log(DBL_MAX) + log(2)/2 by more than the rounding of either computation
+    of x (a bound on both dot products).  Such a sum fails in complex_fsum
+    anyway; this tells before an enumeration that may not fit in memory (a
+    shift off the cone span, where Q is negative, makes q_min, and the
+    enumeration budget, huge)."""
+    k0 = form.shift + np.rint(form.c_star) @ form.G.T
+    q0 = form_values(k0[None], form.Q)[0].item()
+    limit = math.log(sys.float_info.max) + math.log(2) / 2
+    for Z, radius, _ in rows:
+        if q0 > radius**2:  # K0 is not kept
+            continue
+        Ky = [k * y for k, y in zip(k0.tolist(), Z.imag.tolist())]
+        x = -math.pi * (q0 + 2.0 * math.fsum(Ky))
+        size = abs(q0) + 2.0 * math.fsum(map(abs, Ky))
+        if x - 4 * (len(Ky) + 2) * sys.float_info.epsilon * math.pi * size > limit:
+            return True
+    return False
 
 
 def theta_terms(K, Z, omega) -> np.ndarray:
@@ -391,17 +423,24 @@ class BoundConeSum(Bound):
 
         Each row solves its own radius and sums the form's points up to it
         (ConeForm.points: a prefix of one enumeration at the largest radius
-        so far).  The part of the terms that does not depend on Z,
-        tK omega K, is computed once for these points and kept: its real
-        part is form_values(K, Re omega) and its imaginary part is the
-        form's norm, the same floats as form_values(K, omega) gives.  It is
-        rounded point by point, so a row's prefix of it is what that row
-        alone would compute."""
+        so far).  A stack that needs a larger enumeration of a form with
+        q_min < 0 first checks that no row's sum has a term beyond the
+        double range (_peak_beyond_range), and raises complex_fsum's
+        ValidationError before enumerating if one has.  The part of the
+        terms that does not depend on Z, tK omega K, is computed once for
+        these points and kept: its real part is form_values(K, Re omega) and
+        its imaginary part is the form's norm, the same floats as
+        form_values(K, omega) gives.  It is rounded point by point, so a
+        row's prefix of it is what that row alone would compute."""
         Zs = as_stack(Zs, self.n)
         if self.form is None:
             return [(theta_term(self.shift, Z, self.omega), 0.0, 0.0) for Z in Zs]
         rows = [(Z, *self._radius(Z)) for Z in Zs]
         top = max(radius for _, radius, _ in rows)
+        # only where Q is negative on the cone's affine span (q_min < 0) can
+        # the enumeration budget, radius**2 - q_min, outgrow radius**2
+        if top > self.form.radius and self.form.q_min < 0 and _peak_beyond_range(self.form, rows):
+            raise _beyond_range()
         pts, norms = self.form.points(top)
         if len(self.quad) < len(pts):
             self.quad = None  # freed before the larger one is built

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conetheta import cli
+from conetheta import cli, lattice
 from conetheta.cli import main
 from conetheta.errors import ConethetaError
 from conetheta.serialize import (
@@ -265,6 +265,25 @@ def test_eval_cone_shift_with_large_integer_part(tmp_path, capsys, shift, small,
     assert out == run(small)
     exact = math.fsum(math.exp(-math.pi * float(c + frac) ** 2) for c in range(-30, 31))
     assert abs(out["value"]["re"] - exact) <= out["tail"] + 1e-15
+
+
+@pytest.mark.parametrize("shift", ["1000", "1000000"])
+def test_eval_off_span_shift_fails_before_enumerating(tmp_path, capsys, monkeypatch, shift):
+    # the shift lies off the cone span, where Q is negative, so q_min is
+    # -shift**2 and the enumeration budget huge (22.9 TiB of points at
+    # 10**6); the term at the bottom of the cone is beyond the double range,
+    # and so is the sum: exit 2 with the summation's own message, and
+    # nothing enumerated
+    def enumerate_(form, radius):
+        raise AssertionError("enumerated")
+
+    monkeypatch.setattr(lattice, "_enumerate", enumerate_)
+    cone = {"generators": [[0, 1, 0], [0, 0, 1]], "shift": [shift, "0", "0"]}
+    payload = {"n": 3, "k": 1, "omega": cm(np.diag([-1j, 1j, 1j])), "cone": cone}
+    assert main(["eval", "--instance", write(tmp_path, "i.json", payload)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: a term or the sum is beyond the double range\n"
 
 
 @pytest.mark.parametrize("off", [0.0, 1e-3], ids=["symmetric", "nearly-symmetric"])
@@ -625,6 +644,20 @@ def test_verify_all_searches_the_split_basis_once(payload, tmp_path, capsys, mon
     monkeypatch.undo()
     assert out == _each_suite_searching(parse_instance(payload))
     assert code == (0 if json.loads(out)["pass"] else 1)
+
+
+def test_wedge_suite_factors_each_cone_once(monkeypatch):
+    # the two cone sums of the identity run on the wedge sum's own forms
+    built = []
+    init = lattice.ConeForm.__init__
+
+    def counted(self, cone, Q):
+        built.append(cone)
+        init(self, cone, Q)
+
+    monkeypatch.setattr(lattice.ConeForm, "__init__", counted)
+    report = cli.suite_wedge(parse_instance(_N3))
+    assert len(built) == 2 and report.passed
 
 
 def test_transform_identity_needs_no_split_basis(tmp_path, capsys):

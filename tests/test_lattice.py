@@ -129,6 +129,22 @@ def test_find_split_basis_positive_definite_identity():
     assert basis.N.tolist() == [[1, 0], [0, 1]]
 
 
+@pytest.mark.parametrize(
+    "Q, N", [(np.diag([-1.0, 2.0]), [[1, 0], [0, 1]]), (np.diag([1.0, -1.0]), [[0, 1], [1, 0]])],
+    ids=["reference-splits", "searched"],
+)
+def test_find_split_basis_computes_the_signature_once(monkeypatch, Q, N):
+    calls = []
+
+    def counted(A):
+        calls.append(A)
+        return signature(A)
+
+    monkeypatch.setattr(lattice, "signature", counted)
+    assert find_split_basis(Q, 1).N.tolist() == N
+    assert len(calls) == 1
+
+
 def test_find_split_basis_empty_bound():
     with pytest.raises(NotFound):
         find_split_basis(np.diag([1.0, -1.0]), 1, bound=0)
@@ -563,8 +579,13 @@ def _random_cones(draw):
 @settings(max_examples=100, deadline=None)
 @given(_random_cones())
 def test_enumerate_cone_matches_box_filter(case):
+    # enumerate_cone orders by norm alone, ties in its enumeration order:
+    # the norms do not decrease, and the points are the box filter's
     cone, Q, radius = case
-    got = [tuple(k) for k in enumerate_cone(ConeForm(cone, Q), radius)]
+    K = enumerate_cone(ConeForm(cone, Q), radius)
+    norms = form_values(K, Q)
+    assert np.all(norms[1:] >= norms[:-1])
+    got = [k for _, k in sorted((float(q), tuple(k)) for q, k in zip(norms, K))]
     assert got == _box_filter_cone(cone, Q, radius)
 
 
@@ -608,7 +629,7 @@ def _reference_placement(cone, Q):
 def _reference_enumerate(form, radius, c_star, q_min):
     """lattice._enumerate with every level batched in numpy, one np.repeat
     more per level and the keep gathers always made, on the reference
-    placement's c* and q_min."""
+    placement's c* and q_min; a stable sort of the norms orders the points."""
     s, m, n = form.shift, form.rank, len(form.shift)
     r2 = radius**2
     if r2 < q_min - 1e-12:
@@ -632,7 +653,7 @@ def _reference_enumerate(form, radius, c_star, q_min):
     norm = form_values(K, form.Q)
     keep = norm <= r2
     K, norm = K[keep], norm[keep]
-    order = np.lexsort(tuple(K[:, j] for j in range(n - 1, -1, -1)) + (norm,))
+    order = np.argsort(norm, kind="stable")
     return K[order], norm[order]
 
 

@@ -400,6 +400,31 @@ def _wedge_oracle(Z, R=16):
     return complex_fsum(vals)
 
 
+@pytest.mark.parametrize(
+    "a, re, fails",
+    [(Fraction(15), 0.0, False), (Fraction(1879, 125), 0.0011, False), (Fraction(151, 10), 0.0, True)],
+)
+def test_off_span_peak_check_agrees_with_the_summation(monkeypatch, a, re, fails):
+    # Q = diag(-1, 1) and the cone e_2 shifted by a e_1: the term at K0 =
+    # (a, 0) has modulus exp(pi a**2), 1e307 at a = 15 and past the double
+    # range at a = 15.1.  At a = 15.032 it is 1.1 times the largest double,
+    # but Re omega turns every term by about pi/4, so both parts of the sum
+    # are finite.  The check before enumerating raises exactly when the
+    # summation does
+    omega = np.diag([re - 1j, 1j])
+    fam = ConeSum(ConeSpec(np.array([[0], [1]]), (a, 0)))
+    if not fails:
+        value, _, _ = fam.evaluate(omega, np.zeros(2))
+        parts = [value.real, value.imag]
+        assert all(map(math.isfinite, parts)) and max(map(abs, parts)) > 1e307
+        return
+    with pytest.raises(ValidationError, match="beyond the double range"):
+        fam.evaluate(omega, np.zeros(2))
+    monkeypatch.setattr(theta, "_peak_beyond_range", lambda form, rows: False)
+    with pytest.raises(ValidationError, match="beyond the double range"):
+        fam.evaluate(omega, np.zeros(2))
+
+
 def test_wedge_function_matches_oracle():
     f = wedge_function(WBASIS, WOM, tol=1e-12)
     for Z in sample_points(2, 5):
