@@ -18,9 +18,13 @@ op list (both passes), in order, each op run by the workload's own
 * ``split-basis``: the found basis's ``N``, ``M`` and ``k`` as JSON, or
   ``not-found``.
 
-An op that raises contributes its exception's type and message.  With
-``--scale-n N`` a further line digests every suite's report on the
-ROADMAP's scale instance at that ``n``.
+A ``split-basis-n5`` line per seed digests ``find_split_basis`` (default
+bound) on the ROADMAP's ``tP D P`` forms at ``n = 5``, one for each
+``k = 1..4`` (``split_forms``), beyond the benchmark's ``n <= 4``: the
+found ``N``, ``M`` and ``k`` as JSON.  An op that raises contributes its
+exception's type and message (for ``NotFound``, whether the cap ended the
+search).  With ``--scale-n N`` a further line digests every suite's report
+on the ROADMAP's scale instance at that ``n``.
 
 The op lists come from ``perfbench.workloads``, which is only read.  Both
 it and ``conetheta`` are imported from ``--root`` (default: this checkout).
@@ -75,11 +79,36 @@ def verify_output(kernel, workload, op: dict) -> str:
     return kernel.serialize.dumps_canonical(report.to_json())
 
 
+def basis_json(basis) -> str:
+    return json.dumps({"N": basis.N.tolist(), "M": basis.M.tolist(), "k": basis.k})
+
+
 def split_output(kernel, workload, op: dict) -> str:
     basis = workload.execute(kernel, workload.prepare(kernel, op))
     if isinstance(basis, str):  # the workload's NOT_FOUND
         return basis
-    return json.dumps({"N": basis.N.tolist(), "M": basis.M.tolist(), "k": basis.k})
+    return basis_json(basis)
+
+
+def search_output(kernel, Q, k: int) -> str:
+    return basis_json(kernel.lattice.find_split_basis(Q, k))
+
+
+def split_forms(seed: int, n: int):
+    """The ROADMAP's split-basis forms tP D P for k = 1..n-1, as (Q, k):
+    D = diag(-d_1..-d_k, d_{k+1}..d_n) with d = linspace(1, 2, n), and one
+    P for every k, made by 2n random unit column moves P_i += +-P_j drawn
+    from numpy's default_rng(seed)."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    P = np.eye(n, dtype=np.int64)
+    for _ in range(2 * n):
+        i, j = rng.choice(n, 2, replace=False)
+        P[:, i] += int(rng.choice((-1, 1))) * P[:, j]
+    d = np.linspace(1.0, 2.0, n)
+    for k in range(1, n):
+        yield P.T @ np.diag(np.where(np.arange(n) < k, -d, d)) @ P, k
 
 
 def scale_output(kernel, inst, suite: str) -> str:
@@ -147,6 +176,9 @@ def main(argv=None) -> int:
             ops = [op for ops in workload.generate(seed, workload.passes, kernel) for op in ops]
             sha, count = digest(guarded(output, kernel, workload, op) for op in ops)
             print("%s %d %s %d" % (workload.name, seed, sha, count), flush=True)
+    for seed in args.seeds:
+        sha, count = digest(guarded(search_output, kernel, Q, k) for Q, k in split_forms(seed, 5))
+        print("split-basis-n5 %d %s %d" % (seed, sha, count), flush=True)
     if args.scale_n is not None:
         inst = kernel.serialize.parse_instance(scale_payload(args.scale_n))
         sha, count = digest(guarded(scale_output, kernel, inst, s) for s in kernel.cli.SUITES)

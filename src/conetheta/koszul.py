@@ -346,19 +346,32 @@ def verify_chain_map(S, basis_order=None) -> bool:
 # ---------------------------------------------------------------------------
 # the five structural basis-change types, used by the randomised suites
 
-def _block_diag_symplectic(A) -> np.ndarray:
-    A = as_int_matrix(A)
+def _block_diag_symplectic(A: np.ndarray, A_inv: np.ndarray) -> np.ndarray:
+    """diag(A, tA^{-1}) for an int64 A and its inverse."""
     n = A.shape[0]
     S = np.zeros((2 * n, 2 * n), dtype=np.int64)
     S[:n, :n] = A
-    S[n:, n:] = unimodular_inverse(A).T
+    S[n:, n:] = A_inv.T
     return S
 
 
 def type_Ia(A) -> np.ndarray:
     """Block-diagonal change fixing the first k basis vectors: A must have an
     identity top-left k x k block."""
-    return _block_diag_symplectic(A)
+    A = as_int_matrix(A)
+    return _block_diag_symplectic(A, unimodular_inverse(A))
+
+
+def _unit_lower_inverse(A: np.ndarray) -> np.ndarray:
+    """The inverse of a unit lower-triangular integer matrix, by exact
+    forward substitution in Python ints; ValidationError beyond int64."""
+    L = A.tolist()
+    n = len(L)
+    X = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i):
+            X[i][j] = -sum(L[i][t] * X[t][j] for t in range(j, i))
+    return to_int64(np.array(X, dtype=object))
 
 
 def type_Ib(n: int, k: int) -> np.ndarray:
@@ -413,7 +426,8 @@ def random_type_word(n: int, k: int, length: int, rng) -> np.ndarray:
     for _ in range(length):
         which = rng.next_int(0, 4)
         if which == 0:
-            step = type_Ia(random_Ia_block(n, k, rng))
+            A = random_Ia_block(n, k, rng)
+            step = _block_diag_symplectic(A, _unit_lower_inverse(A))
         elif which == 1:
             step = type_Ib(n, max(k, 2))
         elif which == 2:

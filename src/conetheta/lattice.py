@@ -248,10 +248,15 @@ def is_split_basis(basis: SplitBasis, Q, k: int) -> bool:
 def _short_vectors(n: int, bound: int) -> np.ndarray:
     """Nonzero integer vectors with sup-norm <= bound and first nonzero entry
     positive, as the rows of an array sorted by (euclidean norm,
-    lexicographic coordinates)."""
-    v = np.indices((2 * bound + 1,) * n).reshape(n, -1).T - bound
-    v = v[v[np.arange(len(v)), np.argmax(v != 0, axis=1)] > 0]
-    return v[np.lexsort(tuple(v[:, j] for j in range(n - 1, -1, -1)) + ((v * v).sum(axis=1),))]
+    lexicographic coordinates).
+
+    np.indices lists the window in lexicographic order, symmetric about the
+    zero vector at its centre, so the rows after the centre are exactly the
+    vectors with first nonzero entry positive, in lexicographic order; a
+    stable sort of their norms then breaks ties by the coordinates."""
+    side = 2 * bound + 1
+    v = np.indices((side,) * n).reshape(n, -1).T[side**n // 2 + 1:] - bound
+    return v[np.argsort((v * v).sum(axis=1), kind="stable")]
 
 
 #: largest candidate window (2*bound+1)**n that find_split_basis builds in
@@ -268,16 +273,79 @@ MAX_SPLIT_CANDIDATES = 200_000
 #: k = 3 a candidate has 7**9 of them
 _COMPLETION_CHUNK = 4096
 
+#: relative slack of find_split_basis's column screen: a column c whose
+#: tc Q c, as computed, is at least this times (1 + |c|^T |Q| |c|) is in
+#: no completion that the stacked test passes
+_SCREEN_SLACK = 1e-9
 
-def _completion_steps(bound: int, m: int, k: int):
-    """The integer m x k matrices X with entries in [-bound, bound], in
-    itertools.product order of their flattened entries (the last varies
-    fastest), as stacks of at most _COMPLETION_CHUNK."""
-    side, digits = 2 * bound + 1, m * k
-    place = side ** np.arange(digits - 1, -1, -1, dtype=np.int64)
-    for lo in range(0, side**digits, _COMPLETION_CHUNK):
-        flat = np.arange(lo, min(lo + _COMPLETION_CHUNK, side**digits), dtype=np.int64)
-        yield (flat[:, None] // place % side - bound).reshape(len(flat), m, k)
+
+def _candidate_blocks(shorts: np.ndarray, Q: np.ndarray, m: int):
+    """The candidate blocks V of find_split_basis: the m-subsets of the rows
+    of ``shorts`` on which Q is positive, in itertools.combinations order,
+    each as an n x m matrix.
+
+    form_values runs over prefixes of ``shorts`` that double from 64 rows,
+    only as far as the blocks reach.  It rounds each row on its own, so the
+    same rows come out positive as over all of ``shorts``."""
+    positives, seen = shorts[:0], 0
+
+    def has(j: int) -> bool:  # is there a positive row j?
+        nonlocal positives, seen
+        while j >= len(positives) and seen < len(shorts):
+            rows = shorts[seen:max(64, 2 * seen)]
+            positives = np.concatenate([positives, rows[form_values(rows, Q) > 0]])
+            seen += len(rows)
+        return j < len(positives)
+
+    idx = list(range(m))
+    if not has(m - 1):
+        return
+    while True:
+        yield positives[idx].T
+        # the rightmost index that can still move, as itertools.combinations
+        for i in range(m - 1, -1, -1):
+            if idx[i] + m - i < len(positives) or has(idx[i] + m - i):
+                break
+        else:
+            return
+        idx[i:] = range(idx[i] + 1, idx[i] + 1 + m - i)
+
+
+def _surviving_completions(cols: np.ndarray, ok: np.ndarray, side: int, m: int):
+    """The completions C + V X whose every column survives, as stacks
+    (P, n, k) of at most _COMPLETION_CHUNK, in itertools.product order of
+    the flattened X (the last entry varies fastest).
+
+    cols[c, o] is column c of C + V X when column c of X is the o-th offset
+    x in [-bound, bound]^m (lexicographic order), and ok[c, o] says whether
+    it survives.  The entries of X are fixed in product order, one digit
+    per level, each level keeping only the partial X whose partial columns
+    extend to a survivor; a level of more than _COMPLETION_CHUNK is
+    expanded a slice at a time, so memory stays bounded."""
+    k = ok.shape[0]
+    if k == 1:  # X is one column: product order is the order of its offsets
+        survivors = np.flatnonzero(ok[0])
+        for lo in range(0, len(survivors), _COMPLETION_CHUNK):
+            yield cols[0, survivors[lo:lo + _COMPLETION_CHUNK], :, None]
+        return
+    # extends[r][c, p]: some survivor of column c starts with the r + 1 digits of p
+    extends = [ok.reshape(k, side ** (r + 1), side ** (m - r - 1)).any(axis=2) for r in range(m)]
+    digits = np.arange(side)
+
+    def expand(states: np.ndarray, p: int):
+        # states[:, c]: column c's partial offset, its digits fixed so far
+        if p == m * k:
+            yield np.ascontiguousarray(cols[np.arange(k), states].transpose(0, 2, 1))
+            return
+        r, c = divmod(p, k)
+        prefix = (states[:, c, None] * side + digits).ravel()
+        keep = np.flatnonzero(extends[r][c][prefix])
+        states = states[keep // side]
+        states[:, c] = prefix[keep]
+        for lo in range(0, len(states), _COMPLETION_CHUNK):
+            yield from expand(states[lo:lo + _COMPLETION_CHUNK], p + 1)
+
+    yield from expand(np.zeros((1, k), dtype=np.int64), 0)
 
 
 def find_split_basis(Q, k: int, bound: int = 3) -> SplitBasis:
@@ -286,12 +354,22 @@ def find_split_basis(Q, k: int, bound: int = 3) -> SplitBasis:
     A split basis has Q negative definite on N_1..N_k and positive definite
     on N_{k+1}..N_n (see is_split_basis); M = tN^{-1} is derived from N.
     Strategy: take n-k candidate positive columns V from short vectors
-    (ordered by norm), complete them to a unimodular matrix (C | V) when
-    they span a primitive sublattice, then add integer multiples V X of V
-    to C.  The completions C + V X with entries bounded by ``bound`` are
-    tested as a batch, one stacked eigvalsh per chunk of X, and the first
-    on which Q is negative definite, in itertools.product order of X,
-    wins: the same basis as trying them one at a time.
+    (ordered by norm, then coordinates), in itertools.combinations order,
+    complete them to a unimodular matrix (C | V) when they span a primitive
+    sublattice, then add integer multiples V X of V to C.  The first
+    completion C + V X with entries bounded by ``bound`` on which Q is
+    negative definite, in itertools.product order of X, wins: the same
+    basis as trying them one at a time.
+
+    Only the work that can decide that answer is done.  The short vectors
+    are tested for Q > 0 only as far as the candidate blocks reach.  Each
+    column of C + V X is screened once over its (2*bound+1)**(n-k) offsets:
+    it must be within the bound and, for k >= 2, have tc Q c < 0 up to a
+    slack that covers the rounding of both computations (at k = 1 the
+    screen would be the test itself).  Only the completions whose every
+    column survives are tested, one stacked eigvalsh per chunk, and a
+    candidate with a column that has no survivor is skipped.
+
     Failure raises NotFound; the search is exhaustive up to the bound and
     the first MAX_SPLIT_CANDIDATES candidate blocks, so this is evidence
     but not proof of nonexistence (the message says when the cap ended
@@ -308,33 +386,48 @@ def find_split_basis(Q, k: int, bound: int = 3) -> SplitBasis:
     eye = np.eye(n, dtype=np.int64)
     if _is_positive_on(-Q, eye[:, :k]) and _is_positive_on(Q, eye[:, k:]):
         return SplitBasis.identity(n, k)
-    if (2 * bound + 1) ** n > MAX_SPLIT_WINDOW:
+    side = 2 * bound + 1
+    if side**n > MAX_SPLIT_WINDOW:
         raise ValidationError(
             "bound %d: the search window (2*bound+1)**%d exceeds %d vectors"
             % (bound, n, MAX_SPLIT_WINDOW)
         )
     m = n - k
     shorts = _short_vectors(n, bound)
-    positives = shorts[form_values(shorts, Q) > 0]
-    candidates = itertools.combinations(range(len(positives)), m)
-    for idxs in itertools.islice(candidates, MAX_SPLIT_CANDIDATES):
-        V = positives[list(idxs)].T
+    # the columns x of X, in lexicographic order
+    offsets = np.indices((side,) * m).reshape(m, side**m).T - bound
+    for V in itertools.islice(_candidate_blocks(shorts, Q, m), MAX_SPLIT_CANDIDATES):
         if not _is_positive_on(Q, V):  # so V has independent columns
             continue
         try:
             Cbase = unimodular_completion(V)
         except SingularMatrix:  # V is not primitive
             continue
-        # C + V @ X is a column operation on (C | V), so |det| stays 1
-        for X in _completion_steps(bound, m, k):
-            C = Cbase + V @ X
-            C = C[np.abs(C).max(axis=(1, 2), initial=0) <= bound]
-            ok = _is_positive_on(-Q, C)
-            if ok.any():
-                N = np.column_stack([C[np.argmax(ok)], V])
+        # C + V X is a column operation on (C | V), so |det| stays 1;
+        # column c of it is C_c + V x for column x of X
+        cols = Cbase.T[:, None, :] + offsets @ V.T
+        ok = np.abs(cols).max(axis=2) <= bound
+        if k >= 2:
+            # the stacked test passes a completion only if its computed Gram
+            # matrix -tC Q C is positive definite (eigvalsh's backward error
+            # is far below _POS_EIG_TOL), so only if every computed diagonal
+            # entry -tc Q c is > 0.  That dot product and q here are each
+            # within 2n eps |c|^T |Q| |c| (< 1e-14 of it) of the exact
+            # value; a majorant that overflows screens nothing
+            f, a = cols.astype(float), np.abs(cols).astype(float)
+            q, size = ((f @ Q) * f).sum(axis=2), ((a @ np.abs(Q)) * a).sum(axis=2)
+            slack = _SCREEN_SLACK * (1.0 + size)
+            ok &= (q < slack) | np.isinf(slack)
+        if not ok.any(axis=1).all():
+            continue
+        for C in _surviving_completions(cols, ok, side, m):
+            passed = _is_positive_on(-Q, C)
+            if passed.any():
+                N = np.column_stack([C[np.argmax(passed)], V])
                 return SplitBasis(N, unimodular_inverse(N).T, k)
     message = "no split basis with entries bounded by %d" % bound
-    if math.comb(len(positives), m) > MAX_SPLIT_CANDIDATES:
+    positives = int(np.count_nonzero(form_values(shorts, Q) > 0))
+    if math.comb(positives, m) > MAX_SPLIT_CANDIDATES:
         message += " among the first %d candidate blocks (search capped)" % MAX_SPLIT_CANDIDATES
     raise NotFound(message)
 

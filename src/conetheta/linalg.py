@@ -45,7 +45,12 @@ def as_square_real(Q) -> np.ndarray:
 
 def as_real_symmetric(Q) -> np.ndarray:
     A = as_square_real(Q)
-    # the upper triangle is authoritative; mirror it
+    # the upper triangle is authoritative; mirror it.  A matrix that is its
+    # own mirror (A = t(A + 0.0) bitwise: symmetric, and no -0.0, which the
+    # mirror's added zeros turn into +0.0) is returned as it is, so a form
+    # symmetrised once is not mirrored again
+    if A.tobytes() == (A + 0.0).T.tobytes():
+        return A
     return np.triu(A) + np.triu(A, 1).T
 
 

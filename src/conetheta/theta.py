@@ -59,7 +59,7 @@ def complex_fsum(values) -> complex:
     is not finite, or a sum beyond the double range, raises ValidationError."""
     values = np.asarray(values, dtype=complex)
     try:
-        total = complex(math.fsum(values.real), math.fsum(values.imag))
+        total = complex(math.fsum(values.real.tolist()), math.fsum(values.imag.tolist()))
         if cmath.isfinite(total):
             return total
     except (OverflowError, ValueError):  # intermediate overflow, inf - inf
@@ -433,8 +433,14 @@ class BoundConeSum(Bound):
         form_values(K, omega) gives.  It is rounded point by point, so a
         row's prefix of it is what that row alone would compute."""
         Zs = as_stack(Zs, self.n)
-        if self.form is None:
-            return [(theta_term(self.shift, Z, self.omega), 0.0, 0.0) for Z in Zs]
+        if self.form is None:  # one term, the shift's
+            try:
+                terms = [theta_term(self.shift, Z, self.omega) for Z in Zs]
+            except OverflowError:  # cmath.exp raises where numpy's gives inf
+                raise _beyond_range() from None
+            if not all(map(cmath.isfinite, terms)):
+                raise _beyond_range()
+            return [(term, 0.0, 0.0) for term in terms]
         rows = [(Z, *self._radius(Z)) for Z in Zs]
         top = max(radius for _, radius, _ in rows)
         # only where Q is negative on the cone's affine span (q_min < 0) can

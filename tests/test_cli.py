@@ -286,6 +286,20 @@ def test_eval_off_span_shift_fails_before_enumerating(tmp_path, capsys, monkeypa
     assert captured.err == "error: a term or the sum is beyond the double range\n"
 
 
+def test_eval_rank_zero_term_beyond_double_range(tmp_path, capsys):
+    # a rank-0 cone sums one term, here of modulus exp(pi/4 + 1000 pi):
+    # exit 2 with the summation's own message, not an OverflowError
+    payload = {"n": 1, "k": 1, "omega": cm([[-1j]]), "characteristic": {"a": ["1/2"], "delta": [2]}}
+    inst = write(tmp_path, "i.json", payload)
+    assert main(["eval", "--instance", inst, "--z", "0,-1000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: a term or the sum is beyond the double range\n"
+    assert main(["eval", "--instance", inst, "--z", "0,-1"]) == 0
+    value = json.loads(capsys.readouterr().out)["value"]
+    assert value["re"] == pytest.approx(math.exp(math.pi / 4 + math.pi))
+
+
 @pytest.mark.parametrize("off", [0.0, 1e-3], ids=["symmetric", "nearly-symmetric"])
 def test_eval_huge_finite_omega_entry(tmp_path, capsys, off):
     # Re omega_11 = 1e308 is finite, and symmetrising must not overflow it

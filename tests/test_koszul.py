@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conetheta import koszul
+from conetheta import intmat, koszul
 from conetheta.errors import NotSymplectic, ShapeMismatch, ValidationError
 from conetheta.koszul import (
     ChainMap,
@@ -492,3 +492,14 @@ def test_koszul_d_keeps_integers_beyond_int64():
     chain = KoszulChain(RANK, 1, {(0,): GroupRingElement(RANK, {(big, 0, 0, 0): big})})
     expected = {(): GroupRingElement(RANK, {(big + 1, 0, 0, 0): big, (big, 0, 0, 0): -big})}
     assert koszul_d(chain).components == expected == _reference_koszul_d(chain).components
+
+
+def test_unit_lower_inverse_matches_unimodular_inverse():
+    rng = SplitMix64(11)
+    for n in range(1, 9):
+        for k in range(n + 1):
+            A = koszul.random_Ia_block(n, k, rng)
+            inv = koszul._unit_lower_inverse(A)
+            assert inv.dtype == np.int64
+            assert np.array_equal(inv, intmat.unimodular_inverse(A))
+            assert np.array_equal(type_Ia(A), koszul._block_diag_symplectic(A, inv))

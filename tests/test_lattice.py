@@ -319,6 +319,52 @@ _SAME_ANSWER_CASES = [
 ] + [("hyperbolic", 2, 1, 3)]
 
 
+def _diagonal_witness_form(seed, n, k, d):
+    """tW^{-1} diag(-d_1..-d_k, d_{k+1}..d_n) W^{-1} for W as in
+    _planted_form (one move, drawn until the reference basis does not
+    split the form), so W is a split basis within bound 3."""
+    rng = np.random.default_rng(seed)
+    D = np.diag(np.where(np.arange(n) < k, -d, d))
+    while True:
+        W = np.eye(n, dtype=np.int64)
+        i, j = rng.choice(n, 2, replace=False)
+        W[:, j] += int(rng.choice((-1, 1))) * W[:, i]
+        W = np.eye(n, dtype=np.int64)[rng.permutation(n)] * rng.choice((-1, 1), n) @ W
+        Winv = np.rint(np.linalg.inv(W))
+        Q = Winv.T @ D @ Winv
+        neg, pos = np.linalg.eigvalsh(Q[:k, :k]), np.linalg.eigvalsh(Q[k:, k:])
+        if not (np.all(neg < 0) and np.all(pos > 0)):
+            return Q
+
+
+def _isotropic_near(n, k, scale, gap):
+    """Weights scale except d_{k+1} = scale + gap: Q(W (e_1 + e_{k+1})) = gap."""
+    d = np.full(n, float(scale))
+    d[k] += gap
+    return d
+
+
+#: forms that stress the column screen's rounding slack at k >= 2: entries
+#: spread over 1e3..1e6, and columns W (e_1 + e_{k+1}) whose Q is within
+#: 1e-11 of 0 (below and above), or -1e-4 against weights 1e5, where the
+#: screen must keep a column that the stacked test may pass
+_SLACK_KINDS = {
+    "scaled": lambda seed, n, k: _diagonal_witness_form(
+        seed, n, k, 10.0 ** np.random.default_rng(seed + 2000).uniform(3, 6, n)
+    ),
+    "isotropic-below": lambda seed, n, k: _diagonal_witness_form(seed, n, k, _isotropic_near(n, k, 1, -1e-11)),
+    "isotropic-above": lambda seed, n, k: _diagonal_witness_form(seed, n, k, _isotropic_near(n, k, 1, 1e-11)),
+    "isotropic-scaled": lambda seed, n, k: _diagonal_witness_form(seed, n, k, _isotropic_near(n, k, 1e5, -1e-4)),
+}
+_FORM_KINDS.update(_SLACK_KINDS)
+_SAME_ANSWER_CASES += [
+    (kind, n, k, 2 if n == 5 and k in (2, 3) else 3)
+    for kind in _SLACK_KINDS
+    for n in range(3, 6)
+    for k in range(2, n)
+]
+
+
 def _outcome(search, Q, k, bound):
     try:
         N, M, index = search(Q, k, bound)
@@ -414,6 +460,78 @@ def test_find_split_basis_tests_completions_in_chunks(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+def _short_vectors_by_lexsort(n, bound):
+    """_short_vectors as it was built: filter the window on the sign of the
+    first nonzero entry, then sort by (norm, coordinates) with one lexsort."""
+    v = np.indices((2 * bound + 1,) * n).reshape(n, -1).T - bound
+    v = v[v[np.arange(len(v)), np.argmax(v != 0, axis=1)] > 0]
+    return v[np.lexsort(tuple(v[:, j] for j in range(n - 1, -1, -1)) + ((v * v).sum(axis=1),))]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("bound", range(1, 4))
+def test_short_vectors_match_the_lexsort_reference(n, bound):
+    got, want = lattice._short_vectors(n, bound), _short_vectors_by_lexsort(n, bound)
+    assert got.dtype == want.dtype and got.flags.c_contiguous
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n, bound, m", [(2, 3, 1), (3, 1, 0), (3, 1, 2), (3, 2, 2), (3, 2, 3), (4, 1, 3), (4, 3, 2)])
+def test_candidate_blocks_match_combinations_of_all_positives(n, bound, m):
+    # form_values over growing prefixes: the same blocks in the same order
+    # as itertools.combinations over the positives of the whole window,
+    # also when the prefixes run out (all blocks drawn)
+    S = np.random.default_rng(n * 10 + m).normal(size=(n, n))
+    Q = S + S.T
+    shorts = lattice._short_vectors(n, bound)
+    positives = shorts[form_values(shorts, Q) > 0]
+    want = [positives[list(idxs)].T for idxs in itertools.combinations(range(len(positives)), m)]
+    got = list(itertools.islice(lattice._candidate_blocks(shorts, Q, m), 20000))
+    assert len(got) == min(len(want), 20000) and len(got) > 0
+    assert all(np.array_equal(a, b) and a.shape == b.shape for a, b in zip(got, want))
+
+
+def test_find_split_basis_tests_positivity_as_far_as_the_blocks_reach(monkeypatch):
+    # the first candidate block of this form is a split basis's V, so only
+    # the first 64 short vectors are tested for Q > 0, not the 1200 of the
+    # window; the exit-4 message still counts all blocks
+    rows = []
+
+    def counted(K, Q):
+        rows.append(len(K))
+        return form_values(K, Q)
+
+    monkeypatch.setattr(lattice, "form_values", counted)
+    Q = _planted_form(7, 4, 1)
+    assert find_split_basis(Q, 1).N.tolist() == [[-1, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]
+    assert 0 < sum(rows) < len(lattice._short_vectors(4, 3))
+    del rows[:]
+    with pytest.raises(NotFound) as exc:
+        find_split_basis(np.array([[0.0, 1.0], [1.0, 0.0]]), 1)
+    assert "capped" not in str(exc.value)
+    assert rows[-1] == len(lattice._short_vectors(2, 3))
+
+
+def test_find_split_basis_screens_completions_by_column(monkeypatch):
+    # n = 4, k = 3: a candidate has 7**3 completions, and the parent tested
+    # every one within the bound in one 3 x 3 stack; now each column is
+    # screened over its 7 offsets, and only the product of the survivors
+    # reaches the stacked test
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(A):
+        if A.ndim == 3 and A.shape[-1] == 3:
+            sizes.append(len(A))
+        return eigvalsh(A)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    Q = _planted_form(11, 4, 3)
+    assert find_split_basis(Q, 3).N.tolist() == [[0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, -1]]
+    assert sizes[0] == 1  # the reference basis
+    assert 0 < sum(sizes[1:]) < 7**3
 
 
 def _dual_split_reference(basis, Q, k):

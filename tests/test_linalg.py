@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conetheta.errors import DegenerateForm, ShapeMismatch, SingularMatrix
-from conetheta.linalg import check_symmetric, principal_sqrt_det, signature
+from conetheta import linalg
+from conetheta.linalg import as_real_symmetric, check_symmetric, principal_sqrt_det, signature
 
 
 def test_signature_diagonal():
@@ -95,3 +96,27 @@ def test_check_symmetric_mirrors_a_signed_zero(part):
     A = check_symmetric(M)
     assert A.tobytes() == A.T.tobytes() == ((M + M.T) / 2).tobytes()
     assert not np.signbit(getattr(A, part)[1, 0])
+
+
+def test_as_real_symmetric_mirrors_once(monkeypatch):
+    # the bits of the upper-triangle mirror, for matrices that are or are
+    # not symmetric, with signed zeros in either triangle and on the diagonal
+    rng = np.random.default_rng(8)
+    cases = []
+    for n in (1, 2, 3, 5):
+        A = rng.normal(size=(n, n))
+        cases += [A, A + A.T, np.zeros((n, n)), -np.zeros((n, n))]
+        B = A + A.T
+        B[rng.integers(0, n), rng.integers(0, n)] = -0.0
+        cases.append(B)
+    mirrors = []
+    for A in cases:
+        want = np.triu(A) + np.triu(A, 1).T
+        got = as_real_symmetric(A)
+        assert got is not A and got.tobytes() == want.tobytes()
+        mirrors.append(got)
+    # a mirror is its own mirror, and is returned without mirroring again
+    monkeypatch.setattr(linalg.np, "triu", None)
+    for S in mirrors:
+        again = as_real_symmetric(S)
+        assert again is not S and again.tobytes() == S.tobytes()

@@ -400,6 +400,36 @@ def _wedge_oracle(Z, R=16):
     return complex_fsum(vals)
 
 
+def test_complex_fsum_equals_fsum_over_the_array_parts():
+    # the parts go to math.fsum as lists of Python floats; the sums must be
+    # the bits math.fsum gives over the numpy arrays themselves
+    rng = np.random.default_rng(5)
+    cases = [np.zeros(0, dtype=complex), np.array([complex(-0.0, -0.0)]), np.array([-0.0, 0.0], dtype=complex)]
+    for size in (1, 2, 7, 64, 929, 5000):
+        scale = 10.0 ** rng.integers(-300, 300, size=(2, size))
+        cases.append(rng.normal(size=size) * scale[0] + 1j * rng.normal(size=size) * scale[1])
+        # heavy cancellation: terms and their negatives, plus small ones
+        v = rng.normal(size=size) + 1j * rng.normal(size=size)
+        cases.append(np.concatenate([v * 1e300, -v * 1e300, v * 1e-300]))
+    for values in cases:
+        want = complex(math.fsum(values.real), math.fsum(values.imag))
+        got = complex_fsum(values)
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[complex(math.inf, 0)], [complex(0, -math.inf)], [complex(math.nan, 1)], [complex(1, math.nan)],
+     [math.inf, -math.inf], [complex(0, math.inf), complex(0, -math.inf)], [1e308, 1e308],
+     [complex(1, -1e308), complex(1, -1e308)]],
+    ids=["inf", "imag-inf", "nan", "imag-nan", "inf-minus-inf", "imag-inf-minus-inf", "overflow",
+         "imag-overflow"],
+)
+def test_complex_fsum_rejects_what_is_not_finite(values):
+    with pytest.raises(ValidationError, match="beyond the double range"):
+        complex_fsum(values)
+
+
 @pytest.mark.parametrize(
     "a, re, fails",
     [(Fraction(15), 0.0, False), (Fraction(1879, 125), 0.0011, False), (Fraction(151, 10), 0.0, True)],
