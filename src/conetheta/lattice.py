@@ -269,8 +269,9 @@ MAX_SPLIT_WINDOW = 10**6
 MAX_SPLIT_CANDIDATES = 200_000
 
 
-#: completions of one candidate tested per stacked eigvalsh: at n = 6,
-#: k = 3 a candidate has 7**9 of them
+#: completions of one candidate tested per stacked eigvalsh (at n = 6,
+#: k = 3 a candidate has 7**9 of them), and the largest slice of partial
+#: completions _surviving_completions expands at once
 _COMPLETION_CHUNK = 4096
 
 #: relative slack of find_split_basis's column screen: a column c whose
