@@ -5,9 +5,11 @@ The reduction finds, for an n x m integer matrix V, a unimodular U with
 U V = [T; 0] and T upper triangular.  The gcd of the m x m minors of V is
 |det T|, so V spans a primitive rank-m sublattice exactly when the diagonal
 of T is +-1 (is_primitive_columns).  A square A with det +-1 then has the
-inverse T^{-1} U by back substitution (unimodular_inverse), and for a
-primitive V the last n - m columns of U^{-1} complete V to a unimodular
-matrix (unimodular_completion).  int_det is a separate fraction-free
+inverse T^{-1} U by back substitution (unimodular_inverse).  The same
+reduction can carry U^{-1} in place of U, undoing each row step on its
+columns, so one reduction of a primitive V gives the last n - m columns
+of U^{-1}, which complete V to a unimodular matrix
+(unimodular_completion).  int_det is a separate fraction-free
 determinant.
 
 Everything runs over Python ints (arbitrary precision); numpy arrays are
@@ -23,7 +25,7 @@ import numpy as np
 
 from .errors import ShapeMismatch, SingularMatrix, ValidationError
 
-_INT64 = np.iinfo(np.int64)
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
 def as_int_matrix(M) -> np.ndarray:
@@ -52,7 +54,7 @@ def exact(M) -> np.ndarray:
 def to_int64(M) -> np.ndarray:
     """An exact integer matrix as int64; ValidationError if an entry does not fit."""
     M = np.asarray(M)
-    if any(not (_INT64.min <= x <= _INT64.max) for x in M.flat):
+    if M.dtype != np.int64 and M.size and not (_INT64_MIN <= min(M.flat) and max(M.flat) <= _INT64_MAX):
         raise ValidationError("integer matrix entry beyond the int64 range")
     return M.astype(np.int64)
 
@@ -96,38 +98,47 @@ def _xgcd(a: int, b: int):
     return x, y, g
 
 
-def _reduce(A: list, m: int):
+def _reduce(A: list, m: int, inverse: bool = False):
     """(T, U) with U A = [T; 0] for the n x m integer rows A (changed in
     place), U unimodular and T upper triangular with diagonal +-1; None when
-    the columns of A do not span a primitive rank-m sublattice.
+    the columns of A do not span a primitive rank-m sublattice.  With
+    ``inverse``, (T, W) instead, W = U^{-1} as the list of its columns.
 
     Column by column, the first nonzero entry at or below the diagonal is
     swapped up, and each lower entry b is cleared against the pivot a by
     the rows (x, y; -b/g, a/g), where x a + y b = g = gcd(a, b); these have
     determinant 1.  The pivot is then the gcd of its column below the rows
     already fixed, and later columns do not change it, so a pivot other
-    than +-1 ends the reduction.
+    than +-1 ends the reduction.  W follows by the inverse steps on its
+    columns: a swap of the same two, and (a/g, -y; b/g, x) for each clearing.
     """
     n = len(A)
-    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    X = [[int(i == j) for j in range(n)] for i in range(n)]  # rows of U, or columns of W
     for col in range(m):
         piv = next((i for i in range(col, n) if A[i][col] != 0), None)
         if piv is None:
             return None
         A[col], A[piv] = A[piv], A[col]
-        U[col], U[piv] = U[piv], U[col]
+        X[col], X[piv] = X[piv], X[col]
         for i in range(col + 1, n):
             a, b = A[col][col], A[i][col]
             if b == 0:
                 continue
             x, y, g = _xgcd(a, b)
-            for R in (A, U):
-                top, low = R[col], R[i]
-                R[col] = [x * u + y * v for u, v in zip(top, low)]
-                R[i] = [a // g * v - b // g * u for u, v in zip(top, low)]
+            a, b = a // g, b // g
+            top, low = A[col], A[i]
+            A[col] = [x * u + y * v for u, v in zip(top, low)]
+            A[i] = [a * v - b * u for u, v in zip(top, low)]
+            top, low = X[col], X[i]
+            if inverse:
+                X[col] = [a * u + b * v for u, v in zip(top, low)]
+                X[i] = [x * v - y * u for u, v in zip(top, low)]
+            else:
+                X[col] = [x * u + y * v for u, v in zip(top, low)]
+                X[i] = [a * v - b * u for u, v in zip(top, low)]
         if abs(A[col][col]) != 1:
             return None
-    return A[:m], U
+    return A[:m], X
 
 
 def _inverse(A: list):
@@ -176,11 +187,11 @@ def unimodular_completion(V) -> np.ndarray:
     matrix; returns the n x (n-m) block of new columns.
 
     With U V = [T; 0], (V | U^{-1}[:, m:]) = U^{-1} diag(T, I), whose
-    determinant is +-1.
+    determinant is +-1; the reduction carries U^{-1} itself.
     """
     V = as_int_matrix(V)
     n, m = V.shape
-    reduced = _reduce(V.tolist(), m)
+    reduced = _reduce(V.tolist(), m, inverse=True)
     if reduced is None:
         raise SingularMatrix("columns do not span a primitive sublattice")
-    return _int64_matrix(_inverse(reduced[1]), n)[:, m:]
+    return to_int64(np.array(reduced[1][m:], dtype=object).reshape(n - m, n).T)

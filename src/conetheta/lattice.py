@@ -48,14 +48,16 @@ def _is_positive_on(Q: np.ndarray, B: np.ndarray) -> bool | np.ndarray:
 
     A single B is decided as a stack of one, so that each item of a stack
     gets the same Gram matrix, the same eigenvalues and the same answer as
-    it would alone."""
+    it would alone.  A 1 x 1 Gram matrix is its own eigenvalue (eigvalsh
+    returns the entry bit for bit), so a stack of width 1 skips eigvalsh."""
     if B.ndim == 2:
         return bool(_is_positive_on(Q, B[None])[0])
     if B.shape[2] == 0:
         return np.ones(len(B), dtype=bool)
     Bf = B.astype(float)
     A = Bf.transpose(0, 2, 1) @ Q @ Bf
-    eig = np.linalg.eigvalsh((A + A.transpose(0, 2, 1)) / 2)
+    A = (A + A.transpose(0, 2, 1)) / 2
+    eig = A[:, 0] if B.shape[2] == 1 else np.linalg.eigvalsh(A)
     return eig[:, 0] > _POS_EIG_TOL * np.maximum(1.0, np.abs(eig).max(axis=1))
 
 
@@ -270,8 +272,9 @@ MAX_SPLIT_CANDIDATES = 200_000
 
 
 #: completions of one candidate tested per stacked eigvalsh (at n = 6,
-#: k = 3 a candidate has 7**9 of them), and the largest slice of partial
-#: completions _surviving_completions expands at once
+#: k = 3 a candidate has 7**9 of them), the largest slice of partial
+#: completions _surviving_completions expands at once, and the largest
+#: batch of candidate blocks find_split_basis decides at once
 _COMPLETION_CHUNK = 4096
 
 #: relative slack of find_split_basis's column screen: a column c whose
@@ -349,6 +352,37 @@ def _surviving_completions(cols: np.ndarray, ok: np.ndarray, side: int, m: int):
     yield from expand(np.zeros((1, k), dtype=np.int64), 0)
 
 
+def _first_completion(Q: np.ndarray, V: np.ndarray, Cbase: np.ndarray, offsets: np.ndarray, bound: int):
+    """The first completion C = Cbase + V X of the positive block V, in
+    itertools.product order of X, with entries within the bound and Q
+    negative definite on its columns; None if there is none.  ``offsets``
+    lists the columns x of X in lexicographic order."""
+    n, m = V.shape
+    k = n - m
+    # C + V X is a column operation on (C | V), so |det| stays 1;
+    # column c of it is C_c + V x for column x of X
+    cols = Cbase.T[:, None, :] + offsets @ V.T
+    ok = np.abs(cols).max(axis=2) <= bound
+    if k >= 2:
+        # the stacked test passes a completion only if its computed Gram
+        # matrix -tC Q C is positive definite (eigvalsh's backward error
+        # is far below _POS_EIG_TOL), so only if every computed diagonal
+        # entry -tc Q c is > 0.  That dot product and q here are each
+        # within 2n eps |c|^T |Q| |c| (< 1e-14 of it) of the exact
+        # value; a majorant that overflows screens nothing
+        f, a = cols.astype(float), np.abs(cols).astype(float)
+        q, size = ((f @ Q) * f).sum(axis=2), ((a @ np.abs(Q)) * a).sum(axis=2)
+        slack = _SCREEN_SLACK * (1.0 + size)
+        ok &= (q < slack) | np.isinf(slack)
+        if not ok.any(axis=1).all():  # at k = 1 there is then no chunk
+            return None
+    for C in _surviving_completions(cols, ok, 2 * bound + 1, m):
+        passed = _is_positive_on(-Q, C)
+        if passed.any():
+            return C[np.argmax(passed)]
+    return None
+
+
 def find_split_basis(Q, k: int, bound: int = 3) -> SplitBasis:
     """Search for a split basis with N-entries bounded by ``bound``.
 
@@ -363,13 +397,19 @@ def find_split_basis(Q, k: int, bound: int = 3) -> SplitBasis:
     basis as trying them one at a time.
 
     Only the work that can decide that answer is done.  The short vectors
-    are tested for Q > 0 only as far as the candidate blocks reach.  Each
-    column of C + V X is screened once over its (2*bound+1)**(n-k) offsets:
-    it must be within the bound and, for k >= 2, have tc Q c < 0 up to a
-    slack that covers the rounding of both computations (at k = 1 the
-    screen would be the test itself).  Only the completions whose every
-    column survives are tested, one stacked eigvalsh per chunk, and a
-    candidate with a column that has no survivor is skipped.
+    are tested for Q > 0 only as far as the candidate blocks reach.  The
+    blocks themselves are tested for Q > 0 in batches that double from 1
+    up to _COMPLETION_CHUNK, one stacked eigvalsh each (each block gets
+    the answer it gets alone), and the positive ones are tried in order,
+    so a search won by its first block tests only that one.  A tried
+    block is completed by one exact reduction.  Each column of C + V X is
+    screened once over its (2*bound+1)**(n-k) offsets: it must be within
+    the bound and, for k >= 2, have tc Q c < 0 up to a slack that covers
+    the rounding of both computations (at k = 1 the screen would be the
+    test itself).  Only the completions whose every column survives are
+    tested, one stacked eigvalsh per chunk (none at k = 1, where each
+    Gram matrix is 1 x 1), and a candidate with a column that has no
+    survivor is skipped.
 
     Failure raises NotFound; the search is exhaustive up to the bound and
     the first MAX_SPLIT_CANDIDATES candidate blocks, so this is evidence
@@ -397,34 +437,19 @@ def find_split_basis(Q, k: int, bound: int = 3) -> SplitBasis:
     shorts = _short_vectors(n, bound)
     # the columns x of X, in lexicographic order
     offsets = np.indices((side,) * m).reshape(m, side**m).T - bound
-    for V in itertools.islice(_candidate_blocks(shorts, Q, m), MAX_SPLIT_CANDIDATES):
-        if not _is_positive_on(Q, V):  # so V has independent columns
-            continue
-        try:
-            Cbase = unimodular_completion(V)
-        except SingularMatrix:  # V is not primitive
-            continue
-        # C + V X is a column operation on (C | V), so |det| stays 1;
-        # column c of it is C_c + V x for column x of X
-        cols = Cbase.T[:, None, :] + offsets @ V.T
-        ok = np.abs(cols).max(axis=2) <= bound
-        if k >= 2:
-            # the stacked test passes a completion only if its computed Gram
-            # matrix -tC Q C is positive definite (eigvalsh's backward error
-            # is far below _POS_EIG_TOL), so only if every computed diagonal
-            # entry -tc Q c is > 0.  That dot product and q here are each
-            # within 2n eps |c|^T |Q| |c| (< 1e-14 of it) of the exact
-            # value; a majorant that overflows screens nothing
-            f, a = cols.astype(float), np.abs(cols).astype(float)
-            q, size = ((f @ Q) * f).sum(axis=2), ((a @ np.abs(Q)) * a).sum(axis=2)
-            slack = _SCREEN_SLACK * (1.0 + size)
-            ok &= (q < slack) | np.isinf(slack)
-        if not ok.any(axis=1).all():
-            continue
-        for C in _surviving_completions(cols, ok, side, m):
-            passed = _is_positive_on(-Q, C)
-            if passed.any():
-                N = np.column_stack([C[np.argmax(passed)], V])
+    blocks = itertools.islice(_candidate_blocks(shorts, Q, m), MAX_SPLIT_CANDIDATES)
+    size = 1
+    while batch := list(itertools.islice(blocks, size)):
+        size = min(2 * size, _COMPLETION_CHUNK)
+        # a positive V has independent columns
+        for V in itertools.compress(batch, _is_positive_on(Q, np.array(batch))):
+            try:
+                Cbase = unimodular_completion(V)
+            except SingularMatrix:  # V is not primitive
+                continue
+            C = _first_completion(Q, V, Cbase, offsets, bound)
+            if C is not None:
+                N = np.column_stack([C, V])
                 return SplitBasis(N, unimodular_inverse(N).T, k)
     message = "no split basis with entries bounded by %d" % bound
     positives = int(np.count_nonzero(form_values(shorts, Q) > 0))

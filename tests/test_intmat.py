@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conetheta import intmat
 from conetheta.errors import SingularMatrix, ValidationError
 from conetheta.intmat import (
     as_int_matrix,
     int_det,
     is_primitive_columns,
+    to_int64,
     unimodular_completion,
     unimodular_inverse,
 )
@@ -88,3 +90,60 @@ def test_as_int_matrix_beyond_int64_raises(entry):
 def test_as_int_matrix_int64_extremes():
     M = as_int_matrix([[2**63 - 1, -(2**63)]])
     assert M.dtype == np.int64 and M.tolist() == [[2**63 - 1, -(2**63)]]
+
+
+def _completion_by_two_reductions(V):
+    """The completion by two reductions: reduce V to get U, invert U by a
+    second reduction and back substitution, and take the last n - m
+    columns of U^{-1}."""
+    n, m = V.shape
+    _, U = intmat._reduce(V.tolist(), m)
+    return intmat._int64_matrix(intmat._inverse(U), n)[:, m:]
+
+
+def test_unimodular_completion_matches_two_reductions():
+    # random primitive V: m columns of a unimodular matrix made by column
+    # moves, at n = 1..6 and m = 1..n
+    rng = np.random.default_rng(11)
+    for n in range(1, 7):
+        for m in range(1, n + 1):
+            for _ in range(25):
+                U = np.eye(n, dtype=np.int64)
+                for _ in range(3 * n):
+                    i, j = rng.choice(n, 2, replace=n == 1)
+                    if i != j:
+                        U[:, i] += int(rng.integers(-3, 4)) * U[:, j]
+                V = U[:, rng.permutation(n)[:m]]
+                got, want = unimodular_completion(V), _completion_by_two_reductions(V)
+                assert got.dtype == np.int64 and got.shape == (n, n - m)
+                assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "M",
+    [
+        np.array([[2**63]], dtype=object),
+        np.array([[0, -(2**63) - 1]], dtype=object),
+        np.array([[1, 2**63 - 1], [2**63, 0]], dtype=object),
+        np.array([[2**63 + 5]], dtype=np.uint64),
+    ],
+    ids=["2^63", "-2^63-1", "2^63-among-others", "uint64"],
+)
+def test_to_int64_beyond_int64_raises(M):
+    with pytest.raises(ValidationError):
+        to_int64(M)
+
+
+def test_to_int64_in_range():
+    for M in (
+        np.array([[2**63 - 1, -(2**63)], [0, 5]], dtype=object),
+        np.array([[2**63 - 1]], dtype=np.uint64),
+        np.array([[-3, 4]], dtype=np.int32),
+        np.array([[-(2**63), 2**63 - 1]], dtype=np.int64),
+    ):
+        got = to_int64(M)
+        assert got.dtype == np.int64 and got.tolist() == M.tolist()
+    for shape in ((0,), (0, 3), (3, 0)):
+        for dtype in (object, np.uint64, np.int64):
+            got = to_int64(np.zeros(shape, dtype=dtype))
+            assert got.dtype == np.int64 and got.shape == shape

@@ -1,3 +1,4 @@
+import importlib.util
 import itertools
 import json
 import math
@@ -5,6 +6,7 @@ import tracemalloc
 import warnings
 from collections import defaultdict
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -423,6 +425,73 @@ def test_is_positive_on_stack_decides_as_each_matrix_alone():
     at_threshold = [lattice._is_positive_on(np.diag([t, 1.0]), np.eye(2)) for t in
                     (np.nextafter(1e-10, 0.0), 1e-10, np.nextafter(1e-10, 1.0))]
     assert at_threshold == [False, False, True]
+
+
+def _positive_by_eigvalsh(Q, B):
+    """_is_positive_on's stacked test as it was at every width: the least
+    eigvalsh eigenvalue of the symmetrised Gram matrix against the
+    relative threshold."""
+    Bf = B.astype(float)
+    A = Bf.transpose(0, 2, 1) @ Q @ Bf
+    eig = np.linalg.eigvalsh((A + A.transpose(0, 2, 1)) / 2)
+    return eig[:, 0] > 1e-10 * np.maximum(1.0, np.abs(eig).max(axis=1))
+
+
+def test_is_positive_on_width_one_matches_eigvalsh():
+    # a stack of width 1 takes its symmetrised Gram entry as the eigenvalue
+    rng = np.random.default_rng(5)
+    cases = []
+    for n in range(1, 7):
+        S = rng.normal(size=(n, n))
+        cases.append((S + S.T, rng.integers(-3, 4, size=(200, n, 1))))
+    # Gram entries at the edges of the double range and at the threshold
+    dbl_max = np.finfo(float).max
+    signs = np.array([[[1]], [[-1]], [[2]]])
+    for x in (np.inf, -np.inf, np.nan, 0.0, -0.0, 5e-324, -5e-324, 1e-10, np.nextafter(1e-10, 1.0),
+              1e308, -1e308, dbl_max / 2, dbl_max, -dbl_max):
+        cases.append((np.array([[x]]), signs))
+    # Q entries near DBL_MAX, where the Gram entry or A + tA overflows
+    big = np.array([[dbl_max, -dbl_max / 2], [-dbl_max / 2, dbl_max / 4]])
+    vectors = np.array(list(itertools.product(range(-1, 2), repeat=2)))[:, :, None]
+    cases += [(big, vectors), (big / 2, vectors), (-big, vectors)]
+    decided = set()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for Q, B in cases:
+            got = lattice._is_positive_on(Q, B)
+            assert got.dtype == bool and got.tolist() == _positive_by_eigvalsh(Q, B).tolist()
+            decided.update(got.tolist())
+    assert decided == {True, False}
+
+
+def _digest_script():
+    """scripts/outputs_digest.py as a module, for its split_forms."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "outputs_digest.py"
+    spec = importlib.util.spec_from_file_location("outputs_digest", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_find_split_basis_decides_candidate_blocks_in_doubling_stacks(monkeypatch):
+    # the n = 5, k = 2 form of split_forms at seed 3 rejects nearly all of
+    # its 62,700 candidate blocks by their positivity test; they are
+    # decided in stacks of 1, 2, .., 4096 and then 4096 at a time, one
+    # 3 x 3 eigvalsh each (the completions' are 2 x 2), not one per block
+    Q = next(Q for Q, k in _digest_script().split_forms(3, 5) if k == 2)
+    stacks = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(A):
+        if A.shape[-1] == 3:
+            stacks.append(len(A))
+        return eigvalsh(A)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    basis = find_split_basis(Q, 2)
+    # the reference basis fails on its first, 2 x 2 test
+    assert stacks[:13] == [2**i for i in range(13)] and set(stacks[13:]) == {4096}
+    assert len(stacks) <= 30 and sum(stacks) >= 62_700
+    assert is_split_basis(basis, Q, 2)
 
 
 def test_find_split_basis_tests_completions_in_chunks(monkeypatch):
