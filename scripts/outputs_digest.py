@@ -22,8 +22,9 @@ A ``split-basis-n5`` line per seed digests ``find_split_basis`` (default
 bound) on the ROADMAP's ``tP D P`` forms at ``n = 5``, one for each
 ``k = 1..4`` (``split_forms``), beyond the benchmark's ``n <= 4``: the
 found ``N``, ``M`` and ``k`` as JSON.  A ``split-basis-n6`` line per seed
-does the same for the ``n = 6`` form at ``k = 3``, whose searches try up
-to a few hundred thousand candidate blocks.  An op that raises contributes its
+does the same for the ``n = 6`` form at ``k = 3``, and a
+``split-basis-n8`` line for the seven ``n = 8`` forms at bound 20, a bound
+whose box window would exit 2.  An op that raises contributes its
 exception's type and message (for ``NotFound``, whether the cap ended the
 search).  With ``--scale-n N`` a further line digests every suite's report
 on the ROADMAP's scale instance at that ``n``.
@@ -92,8 +93,8 @@ def split_output(kernel, workload, op: dict) -> str:
     return basis_json(basis)
 
 
-def search_output(kernel, Q, k: int) -> str:
-    return basis_json(kernel.lattice.find_split_basis(Q, k))
+def search_output(kernel, Q, k: int, bound: int = 3) -> str:
+    return basis_json(kernel.lattice.find_split_basis(Q, k, bound))
 
 
 def split_forms(seed: int, n: int):
@@ -185,6 +186,9 @@ def main(argv=None) -> int:
         forms = [(Q, k) for Q, k in split_forms(seed, 6) if k == 3]
         sha, count = digest(guarded(search_output, kernel, Q, k) for Q, k in forms)
         print("split-basis-n6 %d %s %d" % (seed, sha, count), flush=True)
+    for seed in args.seeds:
+        sha, count = digest(guarded(search_output, kernel, Q, k, 20) for Q, k in split_forms(seed, 8))
+        print("split-basis-n8 %d %s %d" % (seed, sha, count), flush=True)
     if args.scale_n is not None:
         inst = kernel.serialize.parse_instance(scale_payload(args.scale_n))
         sha, count = digest(guarded(scale_output, kernel, inst, s) for s in kernel.cli.SUITES)

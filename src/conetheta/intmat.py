@@ -32,6 +32,9 @@ def as_int_matrix(M) -> np.ndarray:
     A = np.asarray(M)
     if A.ndim != 2:
         raise ShapeMismatch("expected a matrix, got ndim=%d" % A.ndim)
+    if A.dtype == np.int64:
+        # astype, not copy: it keeps the layout, and so how products round
+        return A.astype(np.int64)
     if A.dtype.kind in "uO":
         # an entry beyond int64 makes the array unsigned or an object array
         # of Python ints; range-check it instead of letting astype wrap

@@ -37,7 +37,7 @@ from .intmat import (
     unimodular_completion,
     unimodular_inverse,
 )
-from .linalg import as_real_symmetric, as_square_real, signature
+from .linalg import as_real_symmetric, as_square_real, reduced_bases, signature
 
 _POS_EIG_TOL = 1e-10
 
@@ -61,6 +61,11 @@ def _is_positive_on(Q: np.ndarray, B: np.ndarray) -> bool | np.ndarray:
     return eig[:, 0] > _POS_EIG_TOL * np.maximum(1.0, np.abs(eig).max(axis=1))
 
 
+def _max_abs(A: np.ndarray) -> int:
+    """max |A| of an int64 array, as a Python int (-(-2**63) would wrap)."""
+    return max(-int(A.min(initial=0)), int(A.max(initial=0)))
+
+
 @dataclass(frozen=True)
 class SplitBasis:
     """Basis {N_1..N_n, M_1..M_n} with tN @ M = I and splitting index k."""
@@ -79,7 +84,11 @@ class SplitBasis:
             raise ShapeMismatch("N and M must be square of equal size")
         if not (0 <= self.k <= n):
             raise ShapeMismatch("index k out of range")
-        if not np.array_equal(exact(N).T @ exact(M), np.eye(n, dtype=np.int64)):
+        # each entry of tN M sums n products of at most max|N| max|M|, so
+        # below 2**62 in all int64 cannot wrap
+        size = n * _max_abs(N) * _max_abs(M)
+        product = N.T @ M if size < 2**62 else exact(N).T @ exact(M)
+        if not np.array_equal(product, np.eye(n, dtype=np.int64)):
             raise ShapeMismatch("tN @ M != I")
 
     @property
@@ -261,11 +270,11 @@ def _short_vectors(n: int, bound: int) -> np.ndarray:
     return v[np.argsort((v * v).sum(axis=1), kind="stable")]
 
 
-#: largest candidate window (2*bound+1)**n that find_split_basis builds in
+#: largest candidate window (2*bound+1)**n that the box search builds in
 #: memory: the default bound 3 fits up to n = 7
 MAX_SPLIT_WINDOW = 10**6
 
-#: candidate blocks V that find_split_basis tries before it gives up; at
+#: candidate blocks V that the box search tries before it gives up; at
 #: n = 5 the default bound's window has more, so a split basis within the
 #: bound can be missed
 MAX_SPLIT_CANDIDATES = 200_000
@@ -274,17 +283,17 @@ MAX_SPLIT_CANDIDATES = 200_000
 #: completions of one candidate tested per stacked eigvalsh (at n = 6,
 #: k = 3 a candidate has 7**9 of them), the largest slice of partial
 #: completions _surviving_completions expands at once, and the largest
-#: batch of candidate blocks find_split_basis decides at once
+#: batch of candidate blocks the box search decides at once
 _COMPLETION_CHUNK = 4096
 
-#: relative slack of find_split_basis's column screen: a column c whose
+#: relative slack of the box search's column screen: a column c whose
 #: tc Q c, as computed, is at least this times (1 + |c|^T |Q| |c|) is in
 #: no completion that the stacked test passes
 _SCREEN_SLACK = 1e-9
 
 
 def _candidate_blocks(shorts: np.ndarray, Q: np.ndarray, m: int):
-    """The candidate blocks V of find_split_basis: the m-subsets of the rows
+    """The candidate blocks V of the box search: the m-subsets of the rows
     of ``shorts`` on which Q is positive, in itertools.combinations order,
     each as an n x m matrix.
 
@@ -384,10 +393,76 @@ def _first_completion(Q: np.ndarray, V: np.ndarray, Cbase: np.ndarray, offsets: 
 
 
 def find_split_basis(Q, k: int, bound: int = 3) -> SplitBasis:
-    """Search for a split basis with N-entries bounded by ``bound``.
+    """A split basis with N-entries bounded by ``bound``.
 
     A split basis has Q negative definite on N_1..N_k and positive definite
     on N_{k+1}..N_n (see is_split_basis); M = tN^{-1} is derived from N.
+    The reference basis is tried first, then the indefinite reduction
+    (_reduced_basis), whose N is taken when its entries are within the
+    bound and it passes the same two positivity tests.  Otherwise the box
+    search runs (_box_split_basis), and raises NotFound when it finds
+    nothing; it is exhaustive up to the bound and the first
+    MAX_SPLIT_CANDIDATES candidate blocks, so this is evidence but not
+    proof of nonexistence.  A box whose window has more than
+    MAX_SPLIT_WINDOW vectors is a ValidationError.
+    """
+    Q = as_real_symmetric(Q)
+    n = Q.shape[0]
+    if signature(Q) != (k, n - k):
+        raise SignatureMismatch("signature(Q) != (%d, %d)" % (k, n - k))
+    if bound < 1:
+        raise NotFound("empty search space (bound < 1)")
+    # is_split_basis for the reference basis, with the signature checked above
+    eye = np.eye(n, dtype=np.int64)
+    if _is_positive_on(-Q, eye[:, :k]) and _is_positive_on(Q, eye[:, k:]):
+        return SplitBasis.identity(n, k)
+    N = _reduced_basis(Q, k, bound)
+    if N is not None:
+        return _split_basis(N, k)
+    return _box_split_basis(Q, k, bound)
+
+
+def _split_basis(N: np.ndarray, k: int) -> SplitBasis:
+    """SplitBasis(N, tN^{-1}, k) for a unimodular N.  M is the rounded
+    float inverse when SplitBasis's exact check tN M = I accepts it, and
+    unimodular_inverse(N).T otherwise (a float inverse of an N with large
+    entries can be wrong)."""
+    try:
+        M = np.rint(np.linalg.inv(N)).T
+        if np.abs(M).max(initial=0.0) < 2.0**62:
+            return SplitBasis(N, M.astype(np.int64), k)
+    except (np.linalg.LinAlgError, ShapeMismatch):
+        pass
+    return SplitBasis(N, unimodular_inverse(N).T, k)
+
+
+# ---------------------------------------------------------------------------
+# split bases by indefinite lattice reduction
+
+def _reduced_basis(Q: np.ndarray, k: int, bound: int) -> np.ndarray | None:
+    """A split basis's N from the indefinite LLL reduction of Q
+    (linalg.reduced_bases), or None when it gives none within the bound.
+
+    Each basis the reduction passes through, its columns ordered by tb Q b
+    (most negative first), is taken as N when its entries are within the
+    bound (and fit int64) and it passes the tests of is_split_basis."""
+    for norms, B in reduced_bases(Q):
+        B = [B[j] for j in sorted(range(len(B)), key=norms.__getitem__)]
+        top = max(abs(x) for col in B for x in col)
+        if top <= bound and top < 2**62:
+            N = np.array(B, dtype=np.int64).T.copy()
+            if _is_positive_on(-Q, N[:, :k]) and _is_positive_on(Q, N[:, k:]):
+                return N
+    return None
+
+
+# ---------------------------------------------------------------------------
+# split bases by exhaustive search in a box
+
+def _box_split_basis(Q: np.ndarray, k: int, bound: int) -> SplitBasis:
+    """find_split_basis's exhaustive fallback, on a symmetric Q of
+    signature (k, n-k) and a bound >= 1.
+
     Strategy: take n-k candidate positive columns V from short vectors
     (ordered by norm, then coordinates), in itertools.combinations order,
     complete them to a unimodular matrix (C | V) when they span a primitive
@@ -411,22 +486,11 @@ def find_split_basis(Q, k: int, bound: int = 3) -> SplitBasis:
     Gram matrix is 1 x 1), and a candidate with a column that has no
     survivor is skipped.
 
-    Failure raises NotFound; the search is exhaustive up to the bound and
-    the first MAX_SPLIT_CANDIDATES candidate blocks, so this is evidence
-    but not proof of nonexistence (the message says when the cap ended
-    the search).  A bound whose window has more than MAX_SPLIT_WINDOW
-    vectors is a ValidationError.
+    Failure raises NotFound, whose message says when the cap of
+    MAX_SPLIT_CANDIDATES blocks ended the search.  A bound whose window
+    has more than MAX_SPLIT_WINDOW vectors is a ValidationError.
     """
-    Q = as_real_symmetric(Q)
     n = Q.shape[0]
-    if signature(Q) != (k, n - k):
-        raise SignatureMismatch("signature(Q) != (%d, %d)" % (k, n - k))
-    if bound < 1:
-        raise NotFound("empty search space (bound < 1)")
-    # is_split_basis for the reference basis, with the signature checked above
-    eye = np.eye(n, dtype=np.int64)
-    if _is_positive_on(-Q, eye[:, :k]) and _is_positive_on(Q, eye[:, k:]):
-        return SplitBasis.identity(n, k)
     side = 2 * bound + 1
     if side**n > MAX_SPLIT_WINDOW:
         raise ValidationError(
@@ -449,8 +513,7 @@ def find_split_basis(Q, k: int, bound: int = 3) -> SplitBasis:
                 continue
             C = _first_completion(Q, V, Cbase, offsets, bound)
             if C is not None:
-                N = np.column_stack([C, V])
-                return SplitBasis(N, unimodular_inverse(N).T, k)
+                return _split_basis(np.column_stack([C, V]), k)
     message = "no split basis with entries bounded by %d" % bound
     positives = int(np.count_nonzero(form_values(shorts, Q) > 0))
     if math.comb(positives, m) > MAX_SPLIT_CANDIDATES:

@@ -429,17 +429,27 @@ def test_split_basis_not_found(tmp_path):
     assert main(["split-basis", "--instance", inst, "--bound", "0"]) == 4
 
 
+#: Im(omega) of the plane (-3, -2; -2, 0), whose second basis vector is
+#: isotropic: the reduction misses it, and the box finds N = (1, 1; 0, -1)
+_ISOTROPIC_PLANE = np.array([[-3.0, -2.0], [-2.0, 0.0]])
+
+
 def test_split_basis_bound_window_too_large(tmp_path):
-    # (2*1000+1)**4 candidate vectors would not fit in memory
+    # the window (2*1000+1)**4 would not fit in memory; it is built only
+    # when the box runs, and the reduction answers diag(1, -1, 1, 1)
     payload = {"n": 4, "k": 1, "omega": cm(np.diag([1j, -1j, 1j, 1j]))}
     inst = write(tmp_path, "i.json", payload)
+    assert main(["split-basis", "--instance", inst, "--bound", "1000"]) == 0
+    Q = np.eye(4)
+    Q[:2, :2] = _ISOTROPIC_PLANE
+    inst = write(tmp_path, "j.json", {"n": 4, "k": 1, "omega": cm(1j * Q)})
     assert main(["split-basis", "--instance", inst, "--bound", "1000"]) == 2
 
 
 @pytest.mark.parametrize("bound,code", [(499, 0), (500, 2)])
 def test_split_basis_bound_window_limit(tmp_path, bound, code):
-    # the window (2*bound+1)**2 is 999**2 <= 10**6 and 1001**2 > 10**6
-    payload = {"n": 2, "k": 1, "omega": cm(np.diag([1j, -1j]))}
+    # the box's window (2*bound+1)**2 is 999**2 <= 10**6 and 1001**2 > 10**6
+    payload = {"n": 2, "k": 1, "omega": cm(1j * _ISOTROPIC_PLANE)}
     inst = write(tmp_path, "i.json", payload)
     assert main(["split-basis", "--instance", inst, "--bound", str(bound)]) == code
 
@@ -733,9 +743,8 @@ def test_integral_shift_check_sums_two_cones(monkeypatch):
 def _n8_instance() -> dict:
     """n = 8, k = 7: omega = 0.1 + i tP D P with P = I + E_81 - E_28 and
     D = diag(-1, -8/7, .., -13/7, 1), the basis N = P^-1 and the
-    upper-triangular g with B_11 = 2.  The default split-basis search cannot
-    run at n = 8 (its window is too large), so every suite must use the
-    instance's basis."""
+    upper-triangular g with B_11 = 2.  Every suite must use the instance's
+    basis, not one that a split-basis search finds."""
     n = 8
     P = np.eye(n, dtype=int)
     P[7, 0], P[1, 7] = 1, -1

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conetheta import intmat
-from conetheta.errors import SingularMatrix, ValidationError
+from conetheta.errors import ShapeMismatch, SingularMatrix, ValidationError
 from conetheta.intmat import (
     as_int_matrix,
     int_det,
@@ -90,6 +90,18 @@ def test_as_int_matrix_beyond_int64_raises(entry):
 def test_as_int_matrix_int64_extremes():
     M = as_int_matrix([[2**63 - 1, -(2**63)]])
     assert M.dtype == np.int64 and M.tolist() == [[2**63 - 1, -(2**63)]]
+
+
+def test_as_int_matrix_int64_is_a_copy_in_the_same_layout():
+    # a transposed int64 array stays Fortran-ordered: the layout decides how
+    # a later float product rounds
+    A = np.arange(6, dtype=np.int64).reshape(2, 3)
+    for X in (A, A.T):
+        M = as_int_matrix(X)
+        assert M is not X and not np.shares_memory(M, X)
+        assert np.array_equal(M, X) and M.flags.f_contiguous == X.flags.f_contiguous
+    with pytest.raises(ShapeMismatch):
+        as_int_matrix(np.arange(3, dtype=np.int64))
 
 
 def _completion_by_two_reductions(V):

@@ -18,12 +18,13 @@ from conetheta.errors import (
     ConethetaError,
     NotFound,
     NotSymplectic,
+    ShapeMismatch,
     SignatureMismatch,
     SingularMatrix,
     ValidationError,
 )
 from conetheta.intmat import int_det, unimodular_completion, unimodular_inverse
-from conetheta.linalg import signature
+from conetheta.linalg import as_real_symmetric, signature
 from conetheta.lattice import (
     ConeForm,
     ConeSpec,
@@ -159,6 +160,12 @@ def test_find_split_basis_negative_definite_identity():
     assert basis.M.tolist() == np.eye(3, dtype=int).tolist()
 
 
+def _box(Q, k, bound=3):
+    """find_split_basis's box search alone, on Q symmetrised as
+    find_split_basis leaves it (no reference basis, no reduction)."""
+    return lattice._box_split_basis(as_real_symmetric(Q), k, bound)
+
+
 def _planted_form(seed, n, k, moves=1):
     """Q = tW^{-1} diag(-1.., 1..) W^{-1} for a signed permutation W after
     ``moves`` elementary column moves (drawn until the reference basis does
@@ -178,9 +185,25 @@ def _planted_form(seed, n, k, moves=1):
             return Q
 
 
-#: (seed, n, k, N) returned by the search that tested Q^{-1} on the
-#: M-columns of every candidate; the direct criterion must find the same N
+#: (seed, n, k, N) that find_split_basis returns, from the reduction
 _PINNED_SPLIT_BASES = [
+    (1, 2, 1, [[1, 1], [0, 1]]),
+    (2, 2, 1, [[1, 0], [1, 1]]),
+    (3, 3, 1, [[1, -1, 0], [0, 1, 0], [0, 0, 1]]),
+    (4, 3, 1, [[0, 1, -1], [0, 0, 1], [1, 0, 0]]),
+    (5, 3, 2, [[-1, 0, 1], [1, 0, 0], [0, 1, 0]]),
+    (6, 3, 2, [[0, 0, 1], [0, 1, 0], [1, -1, 0]]),
+    (7, 4, 1, [[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
+    (8, 4, 1, [[0, 1, 0, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 0, 1, 1]]),
+    (9, 4, 2, [[0, 0, 1, 0], [1, 0, -1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]),
+    (10, 4, 2, [[0, 0, 1, 1], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]),
+    (11, 4, 3, [[0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, -1]]),
+    (12, 4, 3, [[0, 0, 0, 1], [1, 0, 0, -1], [0, 1, 0, 0], [0, 0, 1, 0]]),
+]
+
+#: (seed, n, k, N) returned by the box search that tested Q^{-1} on the
+#: M-columns of every candidate; the direct criterion must find the same N
+_PINNED_BOX_BASES = [
     (1, 2, 1, [[-1, 1], [0, 1]]),
     (2, 2, 1, [[1, 0], [1, 1]]),
     (3, 3, 1, [[-1, 0, 1], [0, 0, -1], [0, 1, 0]]),
@@ -204,10 +227,18 @@ def test_find_split_basis_pinned(seed, n, k, N):
     assert basis.k == k
 
 
+@pytest.mark.parametrize("seed,n,k,N", _PINNED_BOX_BASES)
+def test_box_split_basis_pinned(seed, n, k, N):
+    basis = _box(_planted_form(seed, n, k), k)
+    assert basis.N.tolist() == N
+    assert np.array_equal(basis.M, unimodular_inverse(np.array(N)).T)
+    assert basis.k == k
+
+
 def test_find_split_basis_candidate_cap(monkeypatch, tmp_path, capsys):
     # a search that runs out of candidates below the cap says nothing of it
     with pytest.raises(NotFound) as exc:
-        find_split_basis(np.array([[0.0, 1.0], [1.0, 0.0]]), 1)
+        _box(np.array([[0.0, 1.0], [1.0, 0.0]]), 1)
     assert "capped" not in str(exc.value)
 
     Q, k = _planted_form(3, 3, 1), 1
@@ -219,7 +250,9 @@ def test_find_split_basis_candidate_cap(monkeypatch, tmp_path, capsys):
         return completion(V)
 
     monkeypatch.setattr(lattice, "unimodular_completion", recorded_completion)
-    N = find_split_basis(Q, k).N
+    # the CLI runs the box when the reduction misses
+    monkeypatch.setattr(lattice, "_reduced_basis", lambda Q, k, bound: None)
+    N = _box(Q, k).N
     order = list(completed)
     omega = [[{"re": 0.0, "im": float(x)} for x in row] for row in Q]
     inst = tmp_path / "planted.json"
@@ -236,13 +269,13 @@ def test_find_split_basis_candidate_cap(monkeypatch, tmp_path, capsys):
 
     monkeypatch.setattr(lattice, "MAX_SPLIT_CANDIDATES", place + 1)
     del completed[:]
-    assert find_split_basis(Q, k).N.tolist() == N.tolist()
+    assert _box(Q, k).N.tolist() == N.tolist()
     assert completed == order
 
     monkeypatch.setattr(lattice, "MAX_SPLIT_CANDIDATES", place)
     del completed[:]
     with pytest.raises(NotFound, match="among the first %d candidate blocks" % place):
-        find_split_basis(Q, k)
+        _box(Q, k)
     assert place > 0 and completed == order[:-1]
 
     capsys.readouterr()
@@ -383,7 +416,7 @@ def test_find_split_basis_matches_one_at_a_time_search(kind, n, k, bound):
         Q = _FORM_KINDS[kind](0, n, k)
 
     def batched(Q, k, bound):
-        basis = find_split_basis(Q, k, bound)
+        basis = _box(Q, k, bound)
         return basis.N, basis.M, basis.k
 
     want = _outcome(_split_basis_one_at_a_time, Q, k, bound)
@@ -487,8 +520,7 @@ def test_find_split_basis_decides_candidate_blocks_in_doubling_stacks(monkeypatc
         return eigvalsh(A)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    basis = find_split_basis(Q, 2)
-    # the reference basis fails on its first, 2 x 2 test
+    basis = _box(Q, 2)
     assert stacks[:13] == [2**i for i in range(13)] and set(stacks[13:]) == {4096}
     assert len(stacks) <= 30 and sum(stacks) >= 62_700
     assert is_split_basis(basis, Q, 2)
@@ -513,18 +545,18 @@ def test_find_split_basis_tests_completions_in_chunks(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
     monkeypatch.setattr(lattice, "unimodular_completion", counted_completion)
-    find_split_basis(Q, 1)
-    # one reference check of each size, then per candidate one check of V
+    _box(Q, 1)
+    # per candidate one check of V
     # and one stacked check per chunk of its completions (the parent's loop
     # made one check per completion within the bound)
-    assert completed and gram_sizes.count(1) <= 1 + len(completed)
+    assert completed and gram_sizes.count(1) <= len(completed)
     assert gram_sizes.count(3) >= len(completed)
 
     # two moves at n = 5, k = 2: 7**6 completions per candidate, chunked
     Q = _planted_form(0, 5, 2, 2)
     tracemalloc.start()
     try:
-        find_split_basis(Q, 2)
+        _box(Q, 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -574,11 +606,11 @@ def test_find_split_basis_tests_positivity_as_far_as_the_blocks_reach(monkeypatc
 
     monkeypatch.setattr(lattice, "form_values", counted)
     Q = _planted_form(7, 4, 1)
-    assert find_split_basis(Q, 1).N.tolist() == [[-1, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]
+    assert _box(Q, 1).N.tolist() == [[-1, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]
     assert 0 < sum(rows) < len(lattice._short_vectors(4, 3))
     del rows[:]
     with pytest.raises(NotFound) as exc:
-        find_split_basis(np.array([[0.0, 1.0], [1.0, 0.0]]), 1)
+        _box(np.array([[0.0, 1.0], [1.0, 0.0]]), 1)
     assert "capped" not in str(exc.value)
     assert rows[-1] == len(lattice._short_vectors(2, 3))
 
@@ -598,9 +630,8 @@ def test_find_split_basis_screens_completions_by_column(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     Q = _planted_form(11, 4, 3)
-    assert find_split_basis(Q, 3).N.tolist() == [[0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, -1]]
-    assert sizes[0] == 1  # the reference basis
-    assert 0 < sum(sizes[1:]) < 7**3
+    assert _box(Q, 3).N.tolist() == [[0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, -1]]
+    assert 0 < sum(sizes) < 7**3
 
 
 def _dual_split_reference(basis, Q, k):
@@ -648,6 +679,128 @@ def test_split_basis_unimodular_invariant():
         assert abs(int_det(b.N)) == 1
         assert abs(int_det(b.M)) == 1
         assert np.array_equal(b.N.T @ b.M, np.eye(2, dtype=np.int64))
+
+
+def _no_box(monkeypatch):
+    def box(Q, k, bound):
+        raise AssertionError("the box search ran")
+
+    monkeypatch.setattr(lattice, "_box_split_basis", box)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_reduction_splits_every_split_form(monkeypatch, n):
+    # seeds 0-7, every k: the reduction alone, no box; at n = 8 the box's
+    # window at bound 20 would exit 2
+    _no_box(monkeypatch)
+    for seed in range(8):
+        for Q, k in _digest_script().split_forms(seed, n):
+            basis = find_split_basis(Q, k, bound=20)
+            assert is_split_basis(basis, Q, k) and np.abs(basis.N).max() <= 20
+
+
+def test_reduction_splits_planted_forms_within_bound_3(monkeypatch):
+    _no_box(monkeypatch)
+    for seed in range(8):
+        for n in range(2, 6):
+            for k in range(1, n):
+                Q = _planted_form(seed, n, k)
+                basis = find_split_basis(Q, k)
+                assert is_split_basis(basis, Q, k) and np.abs(basis.N).max() <= 3
+
+
+def test_find_split_basis_falls_back_to_the_box_beyond_the_bound():
+    # the reduction splits both n = 3 forms of split_forms at seed 5 with
+    # an entry 3, and gives nothing within bound 1; there the search gives
+    # the box's answer: NotFound at k = 1, a basis at k = 2
+    for Q, k in _digest_script().split_forms(5, 3):
+        Q = as_real_symmetric(Q)
+        assert lattice._reduced_basis(Q, k, 1) is None and np.abs(lattice._reduced_basis(Q, k, 3)).max() == 3
+        if k == 1:
+            for search in (find_split_basis, _box):
+                with pytest.raises(NotFound, match="^no split basis with entries bounded by 1$"):
+                    search(Q, k, 1)
+        else:
+            got, want = find_split_basis(Q, k, 1), _box(Q, k, 1)
+            assert got.N.tolist() == want.N.tolist() == [[0, 1, 1], [1, 0, 0], [0, 0, -1]]
+            assert np.array_equal(got.M, want.M) and got.k == want.k == k
+
+
+def test_find_split_basis_hyperbolic_message():
+    # the reduction misses the plane, and the box's NotFound is raised
+    Q = np.array([[0.0, 1.0], [1.0, 0.0]])
+    assert lattice._reduced_basis(Q, 1, 3) is None
+    with pytest.raises(NotFound) as exc:
+        find_split_basis(Q, 1)
+    assert str(exc.value) == "no split basis with entries bounded by 3"
+
+
+def _random_unimodular(rng, n):
+    """Signed permutation times 2n random column moves N_i += c N_j, |c| <= 2."""
+    N = np.eye(n, dtype=np.int64)[rng.permutation(n)] * rng.choice((-1, 1), n)
+    for _ in range(2 * n if n > 1 else 0):
+        i, j = rng.choice(n, 2, replace=False)
+        N[:, i] += int(rng.integers(-2, 3)) * N[:, j]
+    return N
+
+
+def test_split_basis_rounded_inverse_matches_unimodular_inverse(monkeypatch):
+    calls = []
+    monkeypatch.setattr(lattice, "unimodular_inverse", lambda N: calls.append(N))
+    rng = np.random.default_rng(11)
+    for n in range(1, 9):
+        for _ in range(20):
+            N = _random_unimodular(rng, n)
+            M = lattice._split_basis(N, 0).M
+            assert M.dtype == np.int64 and np.array_equal(M, unimodular_inverse(N).T)
+    assert calls == []
+
+
+def test_split_basis_falls_back_where_the_float_inverse_is_wrong(monkeypatch):
+    # det = 1 for both; the float inverse of the first is off by about
+    # 8e8, and LAPACK finds the second singular
+    wrong = np.array([[1 + 3 * 2**40, 2**40], [3, 1]], dtype=np.int64)
+    singular = np.array([[2**40 + 1, 2**40], [2**40, 2**40 - 1]], dtype=np.int64)
+    assert not np.array_equal(np.rint(np.linalg.inv(wrong)).T, unimodular_inverse(wrong).T)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(singular)
+    calls = []
+
+    def counted(N):
+        calls.append(N)
+        return unimodular_inverse(N)
+
+    monkeypatch.setattr(lattice, "unimodular_inverse", counted)
+    for N in (wrong, singular):
+        assert np.array_equal(lattice._split_basis(N, 1).M, unimodular_inverse(N).T)
+    assert len(calls) == 2
+
+
+def test_split_basis_checks_duality_in_int64_and_exactly(monkeypatch):
+    exact_calls = []
+    exact = lattice.exact
+
+    def counted(M):
+        exact_calls.append(M)
+        return exact(M)
+
+    monkeypatch.setattr(lattice, "exact", counted)
+    eye = np.eye(2, dtype=np.int64)
+    # small entries: int64 products, no Python ints
+    SplitBasis(eye, eye, 1)
+    with pytest.raises(ShapeMismatch):
+        SplitBasis(eye, np.array([[1, 1], [0, 1]]), 1)
+    assert exact_calls == []
+    # entries near 2**62: the object path
+    N = np.array([[1, 2**62], [0, 1]])
+    SplitBasis(N, np.array([[1, 0], [-(2**62), 1]]), 1)
+    with pytest.raises(ShapeMismatch):
+        SplitBasis(N, np.array([[1, 0], [1 - 2**62, 1]]), 1)
+    # tN M = (1 + 2**64) I, which int64 would wrap to I
+    N = np.array([[1, 2**32], [-(2**32), 1]])
+    with pytest.raises(ShapeMismatch):
+        SplitBasis(N, N, 1)
+    assert len(exact_calls) == 6
 
 
 def test_enumerate_cone_interval():
